@@ -16,10 +16,18 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 # Ceiling on the term count a product/substitution may produce.  Flattening
 # many AES rounds into one ANF blows up exponentially; failing loudly beats
 # exhausting memory.
 DEFAULT_MAX_TERMS = 1 << 22
+
+# Gathered monomial rows one Kernel reduction may hold at once, in uint64
+# words (512 KiB): the XOR pass never materializes every monomial instance
+# of a large batch.
+_GATHER_WORDS = 1 << 16
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
 class TermLimitError(RuntimeError):
@@ -354,46 +362,109 @@ def rename(f: Anf, mapping, width: int | None = None) -> Anf:
     return f.rename(mapping, width)
 
 
+def pack_columns(bits: np.ndarray) -> np.ndarray:
+    """Bitslice 0/1 samples along the last axis into ``uint64`` words.
+
+    A ``(..., N)`` array becomes ``(..., ceil(N / 64))``: bit ``k`` of the
+    samples lands in word ``k // 64``.  Padding bits are zero.
+    """
+    n = bits.shape[-1]
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    out = np.zeros(bits.shape[:-1] + (-(-n // 64) * 8,), dtype=np.uint8)
+    out[..., :packed.shape[-1]] = packed
+    return out.view(np.uint64)
+
+
+def unpack_columns(columns: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`pack_columns`: the first ``n`` samples as 0/1 bytes."""
+    return np.unpackbits(columns.view(np.uint8), axis=-1, count=n, bitorder="little")
+
+
+class Kernel:
+    """Equations compiled once for bitsliced evaluation over a batch.
+
+    ``monomials`` is a ``(U, depth)`` array holding the variable indices of
+    the equations' U distinct monomials, padded with ``width``: the index of
+    an all-ones column, so shorter monomials (and the constant monomial,
+    which has no variables) AND in ones.  The selector gives, output by
+    output, the rows of ``monomials`` each equation XORs.  Evaluating ANDs
+    each distinct monomial once for the whole batch and then takes the
+    parities, so a monomial shared by many equations costs one product.
+    """
+
+    def __init__(self, equations: Sequence[Anf]):
+        width = equations[0].width if equations else 0
+        for eq in equations:
+            if eq.width != width:
+                raise ValueError("equations span different variable spaces")
+        self.width = width
+        self.outputs = len(equations)
+        # The selector is one flat list of monomial rows, grouped by output:
+        # equation rows[k] XORs selector[starts[k]:starts[k + 1]].  Zero
+        # equations have no group and stay zero.
+        row_of: dict[int, int] = {}
+        self._selector = np.array(
+            [row_of.setdefault(m, len(row_of)) for eq in equations for m in eq.terms],
+            dtype=np.intp)
+        self._rows = np.array([j for j, eq in enumerate(equations) if eq.terms],
+                              dtype=np.intp)
+        self._starts = np.cumsum([0, *(len(eq.terms) for eq in equations if eq.terms)],
+                                 dtype=np.intp)
+        depth = max([1, *(m.bit_count() for m in row_of)])
+        self.monomials = np.full((len(row_of), depth), width, dtype=np.intp)
+        for i, m in enumerate(row_of):
+            vars_ = _vars_from_mask(m)
+            self.monomials[i, :len(vars_)] = vars_
+
+    def __call__(self, columns: np.ndarray) -> np.ndarray:
+        """Evaluate on ``(width, words)`` bitsliced ``uint64`` input columns.
+
+        Returns ``(outputs, words)`` columns, row j carrying equation j.
+        """
+        # the padding index must land on the appended all-ones row
+        if columns.shape[0] != self.width:
+            raise ValueError(f"expected {self.width} input columns, got {columns.shape[0]}")
+        words = columns.shape[1]
+        ones = np.full((1, words), _ALL_ONES, dtype=np.uint64)
+        columns = np.concatenate((columns, ones))
+        values = columns[self.monomials[:, 0]]
+        for d in range(1, self.monomials.shape[1]):
+            values &= columns[self.monomials[:, d]]
+        out = np.zeros((self.outputs, words), dtype=np.uint64)
+        # Reduce a run of outputs at a time so the gathered monomial rows
+        # stay within _GATHER_WORDS, whatever the batch size.
+        rows, starts, selector = self._rows, self._starts, self._selector
+        step = max(1, _GATHER_WORDS // max(words, 1))
+        k = 0
+        while k < len(rows):
+            stop = int(np.searchsorted(starts, starts[k] + step, side="right")) - 1
+            stop = max(stop, k + 1)
+            lo, hi = starts[k], starts[stop]
+            out[rows[k:stop]] = np.bitwise_xor.reduceat(
+                values[selector[lo:hi]], starts[k:stop] - lo, axis=0)
+            k = stop
+        return out
+
+
 def batch_evaluate(equations: Sequence[Anf], inputs: Sequence[int]) -> list[int]:
     """Evaluate many equations on many packed assignments at once.
 
     ``inputs`` are int masks (bit v = value of x_v).  Returns one output
     mask per input, bit j carrying the value of ``equations[j]``.
 
-    Works column-wise: variable columns are packed across the batch into
-    single big ints so each monomial costs one AND per variable for the
-    whole batch instead of one test per input.
+    Bitslices the masks into ``uint64`` columns and runs them through a
+    :class:`Kernel` compiled from ``equations``.
     """
     n = len(inputs)
     if n == 0:
         return []
-    width = equations[0].width if equations else 0
-    for eq in equations:
-        if eq.width != width:
-            raise ValueError("equations span different variable spaces")
-    full = (1 << n) - 1
-    columns = [0] * width
-    for b, ones in enumerate(inputs):
-        bit = 1 << b
-        while ones:
-            low = ones & -ones
-            columns[low.bit_length() - 1] |= bit
-            ones ^= low
-    outputs = [0] * n
-    for j, eq in enumerate(equations):
-        acc = 0
-        for mask in eq.terms:
-            sat = full
-            for v in _vars_from_mask(mask):
-                sat &= columns[v]
-                if not sat:
-                    break
-            acc ^= sat
-        if acc:
-            out_bit = 1 << j
-            b = 0
-            while acc:
-                low = acc & -acc
-                outputs[low.bit_length() - 1] |= out_bit
-                acc ^= low
-    return outputs
+    kernel = Kernel(equations)
+    if any(ones < 0 or ones >> kernel.width for ones in inputs):
+        raise ValueError(f"input mask outside the variable space of width {kernel.width}")
+    nbytes = (kernel.width + 7) // 8
+    raw = b"".join(ones.to_bytes(nbytes, "little") for ones in inputs)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(n, nbytes),
+                         axis=1, count=kernel.width, bitorder="little")
+    out = unpack_columns(kernel(pack_columns(bits.T)), n)
+    packed = np.packbits(out.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]

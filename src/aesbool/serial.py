@@ -97,7 +97,7 @@ def write_system(system: EquationSystem, dest) -> Path:
     except OSError as exc:
         raise OSError(f"cannot create {root}: {exc}") from exc
 
-    rendered_cache: dict[int, list[bytes]] = {}
+    rendered_cache: dict[tuple[Anf, ...], list[bytes]] = {}
     manifest_lines = [
         "# aesbool AES-128 Boolean equation system",
         f"# direction={system.direction}",
@@ -107,10 +107,9 @@ def write_system(system: EquationSystem, dest) -> Path:
     for index, stage in enumerate(system.stages):
         stage_dir = root / _stage_dirname(index, stage)
         stage_dir.mkdir()
-        key = id(stage.equations)
-        if key not in rendered_cache:
-            rendered_cache[key] = _render_stage(stage)
-        for bit, body in enumerate(rendered_cache[key]):
+        if stage.equations not in rendered_cache:
+            rendered_cache[stage.equations] = _render_stage(stage)
+        for bit, body in enumerate(rendered_cache[stage.equations]):
             (stage_dir / f"bit_{bit:03d}.eq").write_bytes(body)
         manifest_lines.append(
             f"stage {index} {stage.trace_label}"
@@ -137,6 +136,13 @@ def _stage_kind(direction: str, label: str) -> tuple[str, int]:
     raise ParseError(f"unrecognized stage label {label!r}")
 
 
+def _decode_ascii(path: Path, data: bytes) -> str:
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+
+
 def read_system(path) -> EquationSystem:
     """Rebuild an EquationSystem from a directory write_system produced."""
     root = Path(path)
@@ -145,7 +151,7 @@ def read_system(path) -> EquationSystem:
         raise ParseError(f"{manifest}: manifest not found (incomplete or foreign directory)")
     direction = None
     entries = []
-    for lineno, line in enumerate(manifest.read_text(encoding="ascii").splitlines(), start=1):
+    for lineno, line in enumerate(_decode_ascii(manifest, manifest.read_bytes()).splitlines(), start=1):
         if line.startswith("#"):
             if "direction=" in line:
                 direction = line.split("direction=", 1)[1].strip()
@@ -165,6 +171,10 @@ def read_system(path) -> EquationSystem:
     if [e[0] for e in entries] != list(range(len(entries))):
         raise ParseError(f"{manifest}: stage indices are not consecutive from 0")
 
+    # Byte-identical files, such as those of the nine Round stages of an
+    # encryption tree, parse once into one shared Anf, so equal stages
+    # compare by identity when their kernels and renderings are deduplicated.
+    parsed: dict[tuple[int, bytes], Anf] = {}
     stages = []
     for index, label, width in entries:
         kind, round_index = _stage_kind(direction, label)
@@ -173,10 +183,12 @@ def read_system(path) -> EquationSystem:
         for bit in range(128):
             eq_path = stage_dir / f"bit_{bit:03d}.eq"
             try:
-                text = eq_path.read_text(encoding="ascii")
+                data = eq_path.read_bytes()
             except FileNotFoundError:
                 raise ParseError(f"{eq_path}: missing equation file") from None
-            lines = text.splitlines()
-            equations.append(parse_equation_lines(lines, width, source=str(eq_path)))
+            if (width, data) not in parsed:
+                lines = _decode_ascii(eq_path, data).splitlines()
+                parsed[width, data] = parse_equation_lines(lines, width, source=str(eq_path))
+            equations.append(parsed[width, data])
         stages.append(make_stage(direction, kind, round_index, equations))
     return EquationSystem(direction, tuple(stages))

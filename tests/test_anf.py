@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from aesbool.anf import Anf, TermLimitError, VarSpace, batch_evaluate
+from aesbool.anf import Anf, Kernel, TermLimitError, VarSpace, batch_evaluate
 from aesbool.boolfn import truth_table_from_anf
 
 
@@ -265,14 +266,41 @@ def test_equality_is_term_set_equality():
     assert Anf.from_terms(4, [(0,)]) != Anf.from_terms(5, [(0,)])
 
 
-def test_batch_evaluate_matches_single():
+def test_batch_evaluate_matches_single(enc_system, dec_system):
+    # the bitsliced kernel against the term-by-term evaluator: every stage
+    # kind, plus a zero and a constant-1 equation, on batch sizes either
+    # side of the 64-sample word boundaries
     rng = random.Random(10)
-    eqs = [random_anf(8, rng) for _ in range(5)]
-    inputs = [rng.getrandbits(8) for _ in range(64)]
-    outs = batch_evaluate(eqs, inputs)
-    for ones, out in zip(inputs, outs):
-        for j, eq in enumerate(eqs):
-            assert (out >> j) & 1 == eq.evaluate_mask(ones)
+    sources = {"random": [random_anf(8, rng) for _ in range(5)]}
+    for system in (enc_system, dec_system):
+        for stage in system.stages:
+            sources.setdefault(stage.kind, list(stage.equations))
+    assert sorted(sources) == ["AddRoundKey", "FinalRound", "InvMixColumns",
+                               "InvRound", "Round", "random"]
+    for eqs in sources.values():
+        width = eqs[0].width
+        eqs = eqs + [Anf.zero(width), Anf.one(width)]
+        for n in (1, 63, 64, 65, 1000):
+            inputs = [rng.getrandbits(width) for _ in range(n)]
+            outs = batch_evaluate(eqs, inputs)
+            assert len(outs) == n
+            for ones, out in zip(inputs, outs):
+                assert out >> len(eqs) == 0
+                for j, eq in enumerate(eqs):
+                    assert (out >> j) & 1 == eq.evaluate_mask(ones)
+
+
+def test_batch_evaluate_rejects_inputs_outside_space():
+    with pytest.raises(ValueError):
+        batch_evaluate([Anf.one(4)], [1 << 4])
+    with pytest.raises(ValueError):
+        batch_evaluate([Anf.one(4)], [-1])
+
+
+def test_kernel_rejects_wrong_column_count():
+    kernel = Kernel([Anf.one(4)])
+    with pytest.raises(ValueError):
+        kernel(np.zeros((5, 1), dtype=np.uint64))
 
 
 def test_batch_evaluate_empty():

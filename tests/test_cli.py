@@ -106,6 +106,22 @@ def test_verify_detects_corrupted_file(generated, tmp_path):
     assert "Round2" in err
 
 
+@pytest.mark.parametrize("name", ["06_invMixColumns8/bit_000.eq", "manifest.txt"])
+def test_verify_rejects_non_ascii_file(generated, tmp_path, name):
+    import shutil
+
+    work = tmp_path / "non_ascii"
+    shutil.copytree(generated["dir"] / "AES_files_dec", work)
+    victim = work / name
+    victim.write_bytes(victim.read_bytes() + b"\xff")
+    rc, _, err = run_cli([
+        "verify", "--mode", "dec", "--block", FIPS_CIPHER, "--key", FIPS_KEY,
+        "--files", str(work),
+    ])
+    assert rc == 2
+    assert name.split("/")[-1] in err and "non-ASCII" in err
+
+
 def test_verify_wrong_mode_directory(generated):
     rc, _, err = run_cli([
         "verify", "--mode", "dec", "--block", FIPS_CIPHER, "--key", FIPS_KEY,

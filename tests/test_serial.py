@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from aesbool import aes
+from aesbool import serial as serial_mod
 from aesbool import system as system_mod
 from aesbool.anf import Anf
 from aesbool.serial import (
@@ -179,11 +180,27 @@ def test_round_trip_enc(written, enc_system):
     back = read_system(written / "AES_files_enc")
     assert back.direction == "enc"
     assert back == enc_system
+    # byte-identical files parse once: the nine Round stages share equations
+    rounds = [st.equations for st in back.stages if st.kind == "Round"]
+    assert len(rounds) == 9
+    assert all(a is b for eqs in rounds[1:] for a, b in zip(rounds[0], eqs))
 
 
 def test_round_trip_dec(written, dec_system):
     back = read_system(written / "AES_files_dec")
     assert back == dec_system
+
+
+def test_rewriting_a_read_back_system_is_byte_identical(written, tmp_path, monkeypatch):
+    # the render cache keys on stage content, so the 30 stages read back as
+    # separate objects still render once per distinct stage
+    rendered = []
+    render = serial_mod._render_stage
+    monkeypatch.setattr(serial_mod, "_render_stage",
+                        lambda stage: rendered.append(stage.kind) or render(stage))
+    write_system(read_system(written / "AES_files_dec"), tmp_path)
+    assert sorted(rendered) == ["AddRoundKey", "InvMixColumns", "InvRound"]
+    assert tree_digest(tmp_path / "AES_files_dec") == tree_digest(written / "AES_files_dec")
 
 
 def test_deterministic_writes(tmp_path, enc_system):

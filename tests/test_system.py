@@ -160,6 +160,15 @@ def test_batch_requires_matching_lengths(enc_system):
         system_mod.evaluate_system_batch(enc_system, [PLAIN], [])
 
 
+@pytest.mark.parametrize("length", [15, 17])
+def test_evaluation_rejects_wrong_block_length(enc_system, length):
+    block = bytes(range(length))
+    with pytest.raises(ValueError, match="16 bytes"):
+        system_mod.evaluate_system(enc_system, block, KEY)
+    with pytest.raises(ValueError, match="16 bytes"):
+        system_mod.evaluate_system_batch(enc_system, [PLAIN, block], [KEY, KEY])
+
+
 def test_reference_trace_validates_direction():
     with pytest.raises(ValueError):
         system_mod.reference_trace("sideways", PLAIN, KEY)
