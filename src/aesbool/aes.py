@@ -115,10 +115,6 @@ def block_from_hex(s: str) -> bytes:
     return bytes.fromhex(s)
 
 
-def block_to_hex(block: bytes) -> str:
-    return block.hex()
-
-
 # ---------------------------------------------------------------------------
 # Byte-level reference primitives
 

@@ -345,23 +345,6 @@ def _canonical_key(mask: int, width: int) -> int:
     return key
 
 
-def xor(a: Anf, b: Anf) -> Anf:
-    return a ^ b
-
-
-def multiply(a: Anf, b: Anf, max_terms: int = DEFAULT_MAX_TERMS) -> Anf:
-    return a.multiply(b, max_terms)
-
-
-def substitute(f: Anf, bindings: Mapping[int, Anf],
-               max_terms: int = DEFAULT_MAX_TERMS) -> Anf:
-    return f.substitute(bindings, max_terms)
-
-
-def rename(f: Anf, mapping, width: int | None = None) -> Anf:
-    return f.rename(mapping, width)
-
-
 def pack_columns(bits: np.ndarray) -> np.ndarray:
     """Bitslice 0/1 samples along the last axis into ``uint64`` words.
 

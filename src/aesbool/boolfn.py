@@ -79,39 +79,31 @@ def mobius_transform(tt: TruthTable) -> TruthTable:
     return TruthTable(tt.arity, a.reshape(size))
 
 
+def _reverse_variables(bits: np.ndarray, arity: int) -> np.ndarray:
+    """Reorder a 2^n array so index bit j moves to bit n-1-j; its own inverse.
+
+    Turns row order (x_0 most significant) into monomial-mask order
+    (x_0 least significant) and back.
+    """
+    return bits.reshape((2,) * arity).transpose().ravel()
+
+
 def anf_from_truth_table(tt: TruthTable) -> Anf:
     """Unique ANF of the function: one monomial per 1 in the transform."""
-    tm = mobius_transform(tt)
-    n = tt.arity
-    terms = []
-    for u in np.flatnonzero(tm.bits):
-        u = int(u)
-        mask = 0
-        for j in range(n):
-            if (u >> (n - 1 - j)) & 1:
-                mask |= 1 << j
-        terms.append(mask)
-    return Anf(n, _terms=frozenset(terms))
+    coefficients = _reverse_variables(mobius_transform(tt).bits, tt.arity)
+    return Anf(tt.arity, _terms=frozenset(np.flatnonzero(coefficients).tolist()))
 
 
 def truth_table_from_anf(anf: Anf, arity: int) -> TruthTable:
-    """Evaluate an ANF on all 2^n inputs (term-by-term, not via the transform)."""
+    """Evaluate an ANF on all 2^n inputs: the transform of its coefficients."""
     if not 1 <= arity <= MAX_ARITY:
         raise ValueError(f"arity must be in 1..{MAX_ARITY}, got {arity}")
     used = anf.variables()
     if used and max(used) >= arity:
         raise ValueError(f"ANF uses variable {max(used)}, outside arity {arity}")
-    rows = np.arange(1 << arity, dtype=np.uint32)
-    out = np.zeros(1 << arity, dtype=np.uint8)
-    for mask in anf.terms:
-        row_mask = 0
-        m = mask
-        while m:
-            low = m & -m
-            row_mask |= 1 << (arity - 1 - (low.bit_length() - 1))
-            m ^= low
-        out ^= ((rows & row_mask) == row_mask).astype(np.uint8)
-    return TruthTable(arity, out)
+    coefficients = np.zeros(1 << arity, dtype=np.uint8)
+    coefficients[np.fromiter(anf.terms, dtype=np.intp, count=len(anf.terms))] = 1
+    return mobius_transform(TruthTable(arity, _reverse_variables(coefficients, arity)))
 
 
 def evaluate(anf: Anf, assignment) -> int:
@@ -140,15 +132,6 @@ def is_balanced(tt: TruthTable) -> bool:
 def algebraic_degree(anf: Anf) -> int:
     """Largest monomial size; the zero function gets the sentinel -1."""
     return anf.degree()
-
-
-def truth_table_from_function(fn, arity: int) -> TruthTable:
-    """Tabulate a Python callable taking a tuple of bits."""
-    bits = []
-    for k in range(1 << arity):
-        x = tuple((k >> (arity - 1 - j)) & 1 for j in range(arity))
-        bits.append(fn(x) & 1)
-    return TruthTable(arity, bits)
 
 
 def random_truth_table(arity: int, rng) -> TruthTable:

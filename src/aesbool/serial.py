@@ -17,12 +17,11 @@ final line is terminated, and the zero equation is an empty file.
 
 from __future__ import annotations
 
-import re
 import shutil
 from pathlib import Path
 
 from .anf import Anf
-from .system import EquationSystem, Stage, make_stage
+from .system import STAGE_KINDS, TRACE_LABELS, EquationSystem, Stage
 
 MANIFEST_NAME = "manifest.txt"
 END_NAME = "END"
@@ -64,8 +63,8 @@ def parse_equation_lines(lines, width: int, *, source: str = "<memory>") -> Anf:
     return Anf(width, terms)
 
 
-def _stage_dirname(index: int, stage: Stage) -> str:
-    return f"{index:02d}_{stage.trace_label}"
+def _stage_dirname(index: int, trace_label: str) -> str:
+    return f"{index:02d}_{trace_label}"
 
 
 def _render_stage(stage: Stage) -> list[bytes]:
@@ -105,7 +104,7 @@ def write_system(system: EquationSystem, dest) -> Path:
         " AddRoundKey lines append key variables at 128..255",
     ]
     for index, stage in enumerate(system.stages):
-        stage_dir = root / _stage_dirname(index, stage)
+        stage_dir = root / _stage_dirname(index, stage.trace_label)
         stage_dir.mkdir()
         if stage.equations not in rendered_cache:
             rendered_cache[stage.equations] = _render_stage(stage)
@@ -120,20 +119,13 @@ def write_system(system: EquationSystem, dest) -> Path:
     return manifest
 
 
-def _stage_kind(direction: str, label: str) -> tuple[str, int]:
-    m = re.fullmatch(r"addRoundKey(\d+)", label)
-    if m:
-        return "AddRoundKey", int(m.group(1))
-    m = re.fullmatch(r"Round(\d+)", label)
-    if m:
-        r = int(m.group(1))
-        if direction == "enc":
-            return ("FinalRound" if r == 9 else "Round"), r
-        return "InvRound", r
-    m = re.fullmatch(r"invMixColumns(\d+)", label)
-    if m:
-        return "InvMixColumns", int(m.group(1))
-    raise ParseError(f"unrecognized stage label {label!r}")
+def _read_bytes(path: Path, missing: str) -> bytes:
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise ParseError(f"{path}: {missing}") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
 def _decode_ascii(path: Path, data: bytes) -> str:
@@ -147,11 +139,11 @@ def read_system(path) -> EquationSystem:
     """Rebuild an EquationSystem from a directory write_system produced."""
     root = Path(path)
     manifest = root / MANIFEST_NAME
-    if not manifest.exists():
-        raise ParseError(f"{manifest}: manifest not found (incomplete or foreign directory)")
+    text = _decode_ascii(manifest, _read_bytes(
+        manifest, "manifest not found (incomplete or foreign directory)"))
     direction = None
     entries = []
-    for lineno, line in enumerate(_decode_ascii(manifest, manifest.read_bytes()).splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if line.startswith("#"):
             if "direction=" in line:
                 direction = line.split("direction=", 1)[1].strip()
@@ -165,10 +157,10 @@ def read_system(path) -> EquationSystem:
             key_width = int(parts[4].removeprefix("key_width="))
         except ValueError:
             raise ParseError(f"{manifest}:{lineno}: malformed stage line") from None
-        entries.append((index, parts[2], state_width + key_width))
+        entries.append((lineno, index, parts[2], state_width, key_width))
     if direction not in ("enc", "dec"):
         raise ParseError(f"{manifest}: missing or invalid direction header")
-    if [e[0] for e in entries] != list(range(len(entries))):
+    if [e[1] for e in entries] != list(range(len(entries))):
         raise ParseError(f"{manifest}: stage indices are not consecutive from 0")
 
     # Byte-identical files, such as those of the nine Round stages of an
@@ -176,19 +168,23 @@ def read_system(path) -> EquationSystem:
     # compare by identity when their kernels and renderings are deduplicated.
     parsed: dict[tuple[int, bytes], Anf] = {}
     stages = []
-    for index, label, width in entries:
-        kind, round_index = _stage_kind(direction, label)
-        stage_dir = root / f"{index:02d}_{label}"
+    for lineno, index, label, state_width, key_width in entries:
+        try:
+            kind, round_index = TRACE_LABELS[direction, label]
+        except KeyError:
+            raise ParseError(f"{manifest}:{lineno}: unrecognized stage label {label!r}") from None
+        space = STAGE_KINDS[kind].space
+        width = state_width + key_width
+        if state_width != space.length("state") or width != space.width:
+            raise ParseError(f"{manifest}:{lineno}: widths do not match a {kind} stage")
+        stage_dir = root / _stage_dirname(index, label)
         equations = []
         for bit in range(128):
             eq_path = stage_dir / f"bit_{bit:03d}.eq"
-            try:
-                data = eq_path.read_bytes()
-            except FileNotFoundError:
-                raise ParseError(f"{eq_path}: missing equation file") from None
+            data = _read_bytes(eq_path, "missing equation file")
             if (width, data) not in parsed:
                 lines = _decode_ascii(eq_path, data).splitlines()
                 parsed[width, data] = parse_equation_lines(lines, width, source=str(eq_path))
             equations.append(parsed[width, data])
-        stages.append(make_stage(direction, kind, round_index, equations))
+        stages.append(Stage(kind, round_index, equations))
     return EquationSystem(direction, tuple(stages))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,14 +22,39 @@ from .anf import Anf, Kernel, VarSpace, pack_columns, unpack_columns
 STATE_SPACE = VarSpace([("state", 128)])
 ARK_SPACE = VarSpace([("state", 128), ("key", 128)])
 
-# stage kinds
-ADD_ROUND_KEY = "AddRoundKey"
-ROUND = "Round"
-FINAL_ROUND = "FinalRound"
-INV_ROUND = "InvRound"
-INV_MIX_COLUMNS = "InvMixColumns"
+
+class StageKind(NamedTuple):
+    """What a stage kind fixes; the label formats take the round index."""
+
+    space: VarSpace
+    gen_label: str          # progress line printed while generating files
+    trace_label: str        # line printed while evaluating, and the directory name
+    directions: tuple[str, ...]   # systems the kind appears in
+
+
+# The one table of stage kinds; the constants below name its keys in order.
+STAGE_KINDS = {
+    "AddRoundKey": StageKind(ARK_SPACE, "AddRoundKey{}", "addRoundKey{}", ("enc", "dec")),
+    "Round": StageKind(STATE_SPACE, "Round{}", "Round{}", ("enc",)),
+    "FinalRound": StageKind(STATE_SPACE, "Round{}", "Round{}", ("enc",)),
+    "InvRound": StageKind(STATE_SPACE, "Round {}", "Round{}", ("dec",)),
+    "InvMixColumns": StageKind(STATE_SPACE, "InvMixColumns {}", "invMixColumns{}", ("dec",)),
+}
+ADD_ROUND_KEY, ROUND, FINAL_ROUND, INV_ROUND, INV_MIX_COLUMNS = STAGE_KINDS
 
 _ROUND_KINDS = (ROUND, FINAL_ROUND, INV_ROUND)
+ROUND_INDICES = range(11)   # AES-128 rounds 0..10
+
+# Reverse lookup (direction, trace label) -> (kind, round index).  Round and
+# FinalRound share the trace label "Round<r>"; the encryption chain's only
+# final round is Round9.
+TRACE_LABELS: dict[tuple[str, str], tuple[str, int]] = {
+    (direction, spec.trace_label.format(r)): (kind, r)
+    for kind, spec in STAGE_KINDS.items() if kind != FINAL_ROUND
+    for direction in spec.directions
+    for r in ROUND_INDICES
+}
+TRACE_LABELS["enc", "Round9"] = (FINAL_ROUND, 9)
 
 
 @dataclass(frozen=True)
@@ -38,12 +63,15 @@ class Stage:
 
     kind: str
     round_index: int
-    gen_label: str      # progress line printed while generating files
-    trace_label: str    # line printed while evaluating, and the directory name
-    space: VarSpace
     equations: tuple[Anf, ...]
 
     def __post_init__(self):
+        if self.kind not in STAGE_KINDS:
+            raise ValueError(f"unknown stage kind {self.kind!r}")
+        if self.round_index not in ROUND_INDICES:
+            raise ValueError(f"round index {self.round_index} outside 0..10")
+        # a tuple, so equal stages share one compiled kernel and one rendering
+        object.__setattr__(self, "equations", tuple(self.equations))
         if len(self.equations) != aes.BLOCK_BITS:
             raise ValueError(f"stage needs 128 equations, got {len(self.equations)}")
         for eq in self.equations:
@@ -52,38 +80,24 @@ class Stage:
                     f"equation width {eq.width} does not match stage space {self.space.width}")
 
     @property
+    def space(self) -> VarSpace:
+        return STAGE_KINDS[self.kind].space
+
+    @property
+    def gen_label(self) -> str:
+        return STAGE_KINDS[self.kind].gen_label.format(self.round_index)
+
+    @property
+    def trace_label(self) -> str:
+        return STAGE_KINDS[self.kind].trace_label.format(self.round_index)
+
+    @property
     def state_width(self) -> int:
         return self.space.length("state")
 
     @property
     def key_width(self) -> int:
-        return self.space.length("key") if "key" in self.space.names else 0
-
-
-def make_stage(direction: str, kind: str, round_index: int,
-               equations: Sequence[Anf]) -> Stage:
-    """Build a stage with the labels the generate/control outputs use."""
-    if kind == ADD_ROUND_KEY:
-        space = ARK_SPACE
-        gen = f"AddRoundKey{round_index}"
-        trace = f"addRoundKey{round_index}"
-    elif kind in (ROUND, FINAL_ROUND):
-        space = STATE_SPACE
-        gen = f"Round{round_index}"
-        trace = f"Round{round_index}"
-    elif kind == INV_ROUND:
-        space = STATE_SPACE
-        gen = f"Round {round_index}"
-        trace = f"Round{round_index}"
-    elif kind == INV_MIX_COLUMNS:
-        space = STATE_SPACE
-        gen = f"InvMixColumns {round_index}"
-        trace = f"invMixColumns{round_index}"
-    else:
-        raise ValueError(f"unknown stage kind {kind!r}")
-    if direction not in ("enc", "dec"):
-        raise ValueError(f"direction must be 'enc' or 'dec', got {direction!r}")
-    return Stage(kind, round_index, gen, trace, space, tuple(equations))
+        return self.space.width - self.state_width
 
 
 @dataclass(frozen=True)
@@ -105,12 +119,6 @@ class EquationSystem:
             if st.equations not in compiled:
                 compiled[st.equations] = Kernel(st.equations)
         return tuple(compiled[st.equations] for st in self.stages)
-
-    def stage_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for st in self.stages:
-            counts[st.kind] = counts.get(st.kind, 0) + 1
-        return counts
 
     def key_segment_count(self) -> int:
         """Distinct 128-variable key sets (one per AddRoundKey stage)."""
@@ -169,12 +177,12 @@ def build_encryption_system() -> EquationSystem:
     ark = tuple(aes.addroundkey_equations(ARK_SPACE))
     round_eqs = _composed_round_equations()
     final_eqs = _final_round_equations()
-    stages = [make_stage("enc", ADD_ROUND_KEY, 0, ark)]
+    stages = [Stage(ADD_ROUND_KEY, 0, ark)]
     for r in range(9):
-        stages.append(make_stage("enc", ROUND, r, round_eqs))
-        stages.append(make_stage("enc", ADD_ROUND_KEY, r + 1, ark))
-    stages.append(make_stage("enc", FINAL_ROUND, 9, final_eqs))
-    stages.append(make_stage("enc", ADD_ROUND_KEY, 10, ark))
+        stages.append(Stage(ROUND, r, round_eqs))
+        stages.append(Stage(ADD_ROUND_KEY, r + 1, ark))
+    stages.append(Stage(FINAL_ROUND, 9, final_eqs))
+    stages.append(Stage(ADD_ROUND_KEY, 10, ark))
     return EquationSystem("enc", tuple(stages))
 
 
@@ -186,13 +194,13 @@ def build_decryption_system() -> EquationSystem:
     ark = tuple(aes.addroundkey_equations(ARK_SPACE))
     inv_round = _inv_round_equations()
     imc = tuple(aes.inv_mixcolumns_equations(STATE_SPACE))
-    stages = [make_stage("dec", ADD_ROUND_KEY, 10, ark)]
+    stages = [Stage(ADD_ROUND_KEY, 10, ark)]
     for r in range(9, 0, -1):
-        stages.append(make_stage("dec", INV_ROUND, r, inv_round))
-        stages.append(make_stage("dec", ADD_ROUND_KEY, r, ark))
-        stages.append(make_stage("dec", INV_MIX_COLUMNS, r, imc))
-    stages.append(make_stage("dec", INV_ROUND, 0, inv_round))
-    stages.append(make_stage("dec", ADD_ROUND_KEY, 0, ark))
+        stages.append(Stage(INV_ROUND, r, inv_round))
+        stages.append(Stage(ADD_ROUND_KEY, r, ark))
+        stages.append(Stage(INV_MIX_COLUMNS, r, imc))
+    stages.append(Stage(INV_ROUND, 0, inv_round))
+    stages.append(Stage(ADD_ROUND_KEY, 0, ark))
     return EquationSystem("dec", tuple(stages))
 
 

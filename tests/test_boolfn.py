@@ -180,6 +180,55 @@ def test_round_trip_random_medium(n):
 
 
 # ---------------------------------------------------------------------------
+# converters against oracles that do not use the transform's index reversal
+
+def _row_assignment(k, n):
+    """Truth-table row k as an evaluate_mask assignment (bit j = x_j)."""
+    return sum(((k >> (n - 1 - j)) & 1) << j for j in range(n))
+
+
+def _random_sparse_anf(n, rng):
+    """A handful of monomials of degree at most 3, plus maybe the constant."""
+    terms = [rng.sample(range(n), rng.randint(0, min(n, 3))) for _ in range(rng.randint(1, 12))]
+    return Anf.from_terms(n, terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def test_truth_table_from_anf_matches_evaluate_mask(n):
+    rng = random.Random(3000 + n)
+    for _ in range(10):
+        anf = _random_sparse_anf(n, rng)
+        expected = [anf.evaluate_mask(_row_assignment(k, n)) for k in range(1 << n)]
+        assert truth_table_from_anf(anf, n).bits.tolist() == expected
+
+
+def test_truth_table_from_anf_matches_evaluate_mask_at_max_arity():
+    rng = random.Random(3024)
+    anf = _random_sparse_anf(MAX_ARITY, rng)
+    bits = truth_table_from_anf(anf, MAX_ARITY).bits
+    for k in [0, (1 << MAX_ARITY) - 1, *(rng.getrandbits(MAX_ARITY) for _ in range(2000))]:
+        assert bits[k] == anf.evaluate_mask(_row_assignment(k, MAX_ARITY)), k
+
+
+def _anf_terms_per_coefficient(tt):
+    """Reference: read the transform one coefficient at a time, mapping
+    row bit n-1-j to variable j."""
+    n = tt.arity
+    terms = set()
+    for u in np.flatnonzero(mobius_transform(tt).bits):
+        terms.add(sum(1 << j for j in range(n) if (int(u) >> (n - 1 - j)) & 1))
+    return frozenset(terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+def test_anf_from_truth_table_matches_per_coefficient_reference(n):
+    rng = random.Random(4000 + n)
+    for _ in range(20):
+        tt = random_truth_table(n, rng)
+        assert anf_from_truth_table(tt).terms == _anf_terms_per_coefficient(tt)
+
+
+# ---------------------------------------------------------------------------
 # evaluate / weight / support / balance / degree
 
 def test_evaluate_majparmi3_row():

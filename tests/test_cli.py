@@ -1,5 +1,9 @@
 import pytest
 
+from aesbool import aes
+from aesbool import system as system_mod
+from aesbool.anf import Anf
+from aesbool.serial import write_system
 from conftest import FIPS_CIPHER, FIPS_KEY, FIPS_PLAIN, run_cli
 
 ENC_GENERATE_LINES = (
@@ -222,15 +226,16 @@ def test_stats_variable_accounting(stats_lines):
     ]
 
 
+def _one_stage_tree(tmp_path, equations):
+    """Write a one-Round-stage encryption system; returns its root."""
+    stage = system_mod.Stage("Round", 0, equations)
+    write_system(system_mod.EquationSystem("enc", (stage,)), tmp_path)
+    return tmp_path / "AES_files_enc"
+
+
 def test_stats_single_monomial_stage(tmp_path):
     # a one-stage system of pure single-variable equations
-    from aesbool import aes
-    from aesbool import system as system_mod
-    from aesbool.serial import write_system
-
-    stage = system_mod.make_stage(
-        "enc", "Round", 0, aes.shiftrows_equations(system_mod.STATE_SPACE))
-    write_system(system_mod.EquationSystem("enc", (stage,)), tmp_path)
+    _one_stage_tree(tmp_path, aes.shiftrows_equations(system_mod.STATE_SPACE))
     rc, out, _ = run_cli(["stats", "--files", str(tmp_path)])
     assert rc == 0
     stage_line = [line for line in out.splitlines() if line.startswith("stage 00")][0]
@@ -245,3 +250,24 @@ def test_stats_degree_histogram(stats_lines):
     assert max(int(d) for d in entries) == 7
     # 11 AddRoundKey stages contribute 2 * 128 degree-1 monomials each
     assert int(entries["1"]) >= 11 * 256
+
+
+@pytest.mark.parametrize("name", ["manifest.txt", "00_Round0/bit_005.eq"])
+def test_stats_rejects_directory_in_place_of_file(tmp_path, name):
+    root = _one_stage_tree(tmp_path, [Anf.zero(128)] * 128)
+    victim = root / name
+    victim.unlink()
+    victim.mkdir()
+    rc, _, err = run_cli(["stats", "--files", str(root)])
+    assert rc == 2
+    assert str(victim) in err
+
+
+def test_stats_rejects_manifest_widths_of_another_kind(tmp_path):
+    # empty files would parse at any width; the manifest must match the kind
+    root = _one_stage_tree(tmp_path, [Anf.zero(128)] * 128)
+    manifest = root / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("key_width=0", "key_width=128"))
+    rc, _, err = run_cli(["stats", "--files", str(root)])
+    assert rc == 2
+    assert "manifest.txt:4" in err and "Round" in err

@@ -167,8 +167,7 @@ def test_addroundkey_file_width(written):
 
 def test_single_variable_equation_file():
     # a stage of plain row-shift equations: bit 8 reads variable 40
-    stage = system_mod.make_stage(
-        "enc", "Round", 0, aes.shiftrows_equations(system_mod.STATE_SPACE))
+    stage = system_mod.Stage("Round", 0, aes.shiftrows_equations(system_mod.STATE_SPACE))
     lines = render_equation_lines(stage.equations[8])
     assert len(lines) == 1
     assert lines[0][0] == "0"

@@ -100,13 +100,13 @@ def test_final_round_is_shift_of_substitution(enc_system):
 
 def test_make_stage_validation():
     with pytest.raises(ValueError):
-        system_mod.make_stage("enc", "Round", 0, [Anf.one(128)] * 127)
+        system_mod.Stage("Round", 0, [Anf.one(128)] * 127)
     with pytest.raises(ValueError):
-        system_mod.make_stage("enc", "Round", 0, [Anf.one(64)] * 128)
+        system_mod.Stage("Round", 0, [Anf.one(64)] * 128)
     with pytest.raises(ValueError):
-        system_mod.make_stage("enc", "NoSuchKind", 0, [Anf.one(128)] * 128)
+        system_mod.Stage("NoSuchKind", 0, [Anf.one(128)] * 128)
     with pytest.raises(ValueError):
-        system_mod.make_stage("sideways", "Round", 0, [Anf.one(128)] * 128)
+        system_mod.Stage("Round", 11, [Anf.one(128)] * 128)
 
 
 # ---------------------------------------------------------------------------
