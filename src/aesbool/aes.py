@@ -16,6 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .anf import Anf, VarSpace
+from .boolfn import TruthTable, anf_from_truth_table
 
 SBOX = (
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
@@ -64,10 +65,7 @@ SHIFTROWS_SOURCE = (
     88, 89, 90, 91, 92, 93, 94, 95,
 )
 
-_INV_SHIFTROWS_SOURCE = [0] * BLOCK_BITS
-for _i, _src in enumerate(SHIFTROWS_SOURCE):
-    _INV_SHIFTROWS_SOURCE[_src] = _i
-INV_SHIFTROWS_SOURCE = tuple(_INV_SHIFTROWS_SOURCE)
+INV_SHIFTROWS_SOURCE = tuple(SHIFTROWS_SOURCE.index(i) for i in range(BLOCK_BITS))
 
 MIX_COEFFS = (0x02, 0x03, 0x01, 0x01)
 INV_MIX_COEFFS = (0x0E, 0x0B, 0x0D, 0x09)
@@ -222,9 +220,6 @@ def reference_decrypt_trace(block: bytes, key: bytes) -> list[tuple[str, bytes]]
 # Symbolic per-bit equation builders
 
 def _coordinate_anfs(table) -> tuple[Anf, ...]:
-    # imported here to keep the module graph acyclic
-    from .boolfn import TruthTable, anf_from_truth_table
-
     coords = []
     for c in range(8):
         bits = [(table[x] >> (7 - c)) & 1 for x in range(256)]
@@ -247,10 +242,10 @@ def inv_sbox_coordinate_anfs() -> tuple[Anf, ...]:
     return _coordinate_anfs(INV_SBOX)
 
 
-def _bytewise_equations(coords: tuple[Anf, ...], space: VarSpace, layer: str) -> list[Anf]:
-    start = space.start(layer)
-    if space.length(layer) != BLOCK_BITS:
-        raise ValueError(f"layer {layer!r} must be {BLOCK_BITS} variables wide")
+def _bytewise_equations(coords: tuple[Anf, ...], space: VarSpace) -> list[Anf]:
+    start = space.start("state")
+    if space.length("state") != BLOCK_BITS:
+        raise ValueError(f"the state must be {BLOCK_BITS} variables wide")
     eqs = []
     for i in range(BLOCK_BITS):
         byte, bit = divmod(i, 8)
@@ -258,27 +253,27 @@ def _bytewise_equations(coords: tuple[Anf, ...], space: VarSpace, layer: str) ->
     return eqs
 
 
-def subbytes_equations(space: VarSpace, layer: str = "state") -> list[Anf]:
+def subbytes_equations(space: VarSpace) -> list[Anf]:
     """128 equations: the 8 coordinate ANFs placed on each byte position."""
-    return _bytewise_equations(sbox_coordinate_anfs(), space, layer)
+    return _bytewise_equations(sbox_coordinate_anfs(), space)
 
 
-def inv_subbytes_equations(space: VarSpace, layer: str = "state") -> list[Anf]:
-    return _bytewise_equations(inv_sbox_coordinate_anfs(), space, layer)
+def inv_subbytes_equations(space: VarSpace) -> list[Anf]:
+    return _bytewise_equations(inv_sbox_coordinate_anfs(), space)
 
 
-def _permutation_equations(source, space: VarSpace, layer: str) -> list[Anf]:
-    start = space.start(layer)
+def _permutation_equations(source, space: VarSpace) -> list[Anf]:
+    start = space.start("state")
     return [Anf.variable(space.width, start + src) for src in source]
 
 
-def shiftrows_equations(space: VarSpace, layer: str = "state") -> list[Anf]:
+def shiftrows_equations(space: VarSpace) -> list[Anf]:
     """128 single-variable equations following the published index table."""
-    return _permutation_equations(SHIFTROWS_SOURCE, space, layer)
+    return _permutation_equations(SHIFTROWS_SOURCE, space)
 
 
-def inv_shiftrows_equations(space: VarSpace, layer: str = "state") -> list[Anf]:
-    return _permutation_equations(INV_SHIFTROWS_SOURCE, space, layer)
+def inv_shiftrows_equations(space: VarSpace) -> list[Anf]:
+    return _permutation_equations(INV_SHIFTROWS_SOURCE, space)
 
 
 def _coeff_bit_sources(coeff: int, bit: int) -> tuple[int, ...]:
@@ -286,8 +281,8 @@ def _coeff_bit_sources(coeff: int, bit: int) -> tuple[int, ...]:
     return tuple(q for q in range(8) if (gf_mul(coeff, 0x80 >> q) >> (7 - bit)) & 1)
 
 
-def _matrix_equations(coeffs, space: VarSpace, layer: str) -> list[Anf]:
-    start = space.start(layer)
+def _matrix_equations(coeffs, space: VarSpace) -> list[Anf]:
+    start = space.start("state")
     eqs = []
     for i in range(BLOCK_BITS):
         byte, bit = divmod(i, 8)
@@ -301,20 +296,19 @@ def _matrix_equations(coeffs, space: VarSpace, layer: str) -> list[Anf]:
     return eqs
 
 
-def mixcolumns_equations(space: VarSpace, layer: str = "state") -> list[Anf]:
+def mixcolumns_equations(space: VarSpace) -> list[Anf]:
     """128 linear equations from the circulant (02 03 01 01) column mix."""
-    return _matrix_equations(MIX_COEFFS, space, layer)
+    return _matrix_equations(MIX_COEFFS, space)
 
 
-def inv_mixcolumns_equations(space: VarSpace, layer: str = "state") -> list[Anf]:
-    return _matrix_equations(INV_MIX_COEFFS, space, layer)
+def inv_mixcolumns_equations(space: VarSpace) -> list[Anf]:
+    return _matrix_equations(INV_MIX_COEFFS, space)
 
 
-def addroundkey_equations(space: VarSpace, state_layer: str = "state",
-                          key_layer: str = "key") -> list[Anf]:
+def addroundkey_equations(space: VarSpace) -> list[Anf]:
     """128 equations x_i ^ k_i over a state+key space."""
-    s = space.start(state_layer)
-    k = space.start(key_layer)
+    s = space.start("state")
+    k = space.start("key")
     return [
         Anf(space.width, _terms=frozenset((1 << (s + i), 1 << (k + i))))
         for i in range(BLOCK_BITS)

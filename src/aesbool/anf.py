@@ -6,10 +6,13 @@ constant-1 monomial.  Adding a monomial twice cancels it, multiplication
 unions variable sets (x^2 = x), so the term set is always canonical and two
 ANFs are equal exactly when their term sets are equal.
 
-The canonical *ordering* of monomials (used for printing and for the
-one-line-per-monomial file format) sorts masks as big-endian integers with
-variable 0 in the most significant position.  It is materialized only when
-needed; the working representation is an unordered frozenset.
+The canonical *ordering* of monomials is defined once, by
+``Anf.mask_strings``: each mask written as a '0'/'1' string with variable 0
+leftmost, sorted ascending -- the masks as big-endian integers with
+variable 0 in the most significant position.  Printing (``monomials``,
+``to_str``) and the one-line-per-monomial file format both use it.  It is
+materialized only when needed; the working representation is an
+unordered frozenset.
 """
 
 from __future__ import annotations
@@ -170,10 +173,15 @@ class Anf:
             used |= m
         return frozenset(_vars_from_mask(used))
 
+    def mask_strings(self) -> list[str]:
+        """Monomial masks as '0'/'1' strings, variable 0 leftmost, in
+        canonical order: ascending, so the constant monomial comes first."""
+        return sorted(format(m, f"0{self.width}b")[::-1] for m in self.terms)
+
     def monomials(self) -> list[tuple[int, ...]]:
-        """Monomials as sorted index tuples, in canonical file order."""
-        order = sorted(self.terms, key=lambda m: _canonical_key(m, self.width))
-        return [_vars_from_mask(m) for m in order]
+        """Monomials as sorted index tuples, in canonical order."""
+        return [tuple(i for i, c in enumerate(mask) if c == "1")
+                for mask in self.mask_strings()]
 
     def terms_as_sets(self) -> frozenset[frozenset[int]]:
         return frozenset(frozenset(_vars_from_mask(m)) for m in self.terms)
@@ -215,24 +223,15 @@ class Anf:
         All bound ANFs must share one target space; every variable occurring
         in a monomial must be bound.
         """
-        target = None
-        for g in bindings.values():
-            if target is None:
-                target = g.width
-            elif g.width != target:
-                raise ValueError("bindings span different variable spaces")
-        if target is None:
-            target = self.width
+        widths = {g.width for g in bindings.values()}
+        if len(widths) > 1:
+            raise ValueError("bindings span different variable spaces")
+        target = widths.pop() if widths else self.width
         acc: set[int] = set()
         one = Anf.one(target)
         prod_cache: dict[int, Anf] = {0: one}
         for mask in self.terms:
-            prod = _substituted_product(mask, bindings, one, prod_cache, max_terms)
-            for m in prod.terms:
-                if m in acc:
-                    acc.remove(m)
-                else:
-                    acc.add(m)
+            acc ^= _substituted_product(mask, bindings, one, prod_cache, max_terms).terms
             if len(acc) > max_terms:
                 raise TermLimitError(f"substitution exceeds {max_terms} terms")
         return Anf(target, _terms=frozenset(acc))
@@ -248,8 +247,6 @@ class Anf:
         used = self.variables()
         if isinstance(mapping, int):
             table = {v: v + mapping for v in used}
-        elif isinstance(mapping, Mapping):
-            table = {v: mapping[v] for v in used}
         else:
             table = {v: mapping[v] for v in used}
         images = set(table.values())
@@ -258,13 +255,9 @@ class Anf:
         for img in images:
             if not 0 <= img < new_width:
                 raise ValueError(f"renamed index {img} outside space of width {new_width}")
-        new_terms = []
-        for mask in self.terms:
-            m = 0
-            for v in _vars_from_mask(mask):
-                m |= 1 << table[v]
-            new_terms.append(m)
-        return Anf(new_width, _terms=frozenset(new_terms))
+        return Anf(new_width, _terms=frozenset(
+            _mask_from_vars((table[v] for v in _vars_from_mask(m)), new_width)
+            for m in self.terms))
 
     # -- evaluation --------------------------------------------------------
 
@@ -306,20 +299,13 @@ class Anf:
     def __repr__(self):
         return f"Anf(width={self.width}, terms={len(self.terms)})"
 
-    def __str__(self):
-        return self.to_str()
-
-    def to_str(self, prefix: str = "x") -> str:
+    def to_str(self) -> str:
         """Human-readable sum of monomials in canonical order."""
         if not self.terms:
             return "0"
-        parts = []
-        for mono in self.monomials():
-            if not mono:
-                parts.append("1")
-            else:
-                parts.append("".join(f"{prefix}{v}" for v in mono))
-        return " + ".join(parts)
+        return " + ".join("".join(f"x{v}" for v in mono) or "1" for mono in self.monomials())
+
+    __str__ = to_str
 
 
 def _substituted_product(mask: int, bindings: Mapping[int, Anf], one: Anf,
@@ -335,14 +321,6 @@ def _substituted_product(mask: int, bindings: Mapping[int, Anf], one: Anf,
         prod = prod.multiply(g, max_terms)
     cache[mask] = prod
     return prod
-
-
-def _canonical_key(mask: int, width: int) -> int:
-    """Value of the mask string read big-endian with variable 0 leftmost."""
-    key = 0
-    for v in _vars_from_mask(mask):
-        key |= 1 << (width - 1 - v)
-    return key
 
 
 def pack_columns(bits: np.ndarray) -> np.ndarray:

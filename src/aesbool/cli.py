@@ -21,9 +21,9 @@ import sys
 from pathlib import Path
 
 from . import system as system_mod
-from .aes import block_from_hex, reference_encrypt, reference_decrypt
+from .aes import block_from_hex
 from .boolfn import MAX_ARITY, TruthTable, anf_from_truth_table
-from .serial import MANIFEST_NAME, ParseError, read_system, write_system
+from .serial import MANIFEST_NAME, ParseError, read_system, system_dirname, write_system
 
 _HEX32 = re.compile(r"[0-9a-f]{32}\Z")
 
@@ -42,11 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="build a system and write its per-bit files")
-    p_gen.add_argument("--mode", choices=("enc", "dec"), required=True)
+    p_gen.add_argument("--mode", choices=system_mod.DIRECTIONS, required=True)
     p_gen.add_argument("--out", default=".", help="directory to create AES_files_<mode> in")
 
     p_ver = sub.add_parser("verify", help="evaluate a written system against the reference cipher")
-    p_ver.add_argument("--mode", choices=("enc", "dec"), required=True)
+    p_ver.add_argument("--mode", choices=system_mod.DIRECTIONS, required=True)
     p_ver.add_argument("--block", type=_hex32, required=True)
     p_ver.add_argument("--key", type=_hex32, required=True)
     p_ver.add_argument("--files", required=True, help="directory holding the generated system")
@@ -63,15 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_root(files_dir: str, mode: str | None) -> Path:
     """Accept either a system root or the directory it was generated into."""
     base = Path(files_dir)
-    candidates = []
-    if (base / MANIFEST_NAME).exists():
-        candidates.append(base)
-    else:
-        names = [f"AES_files_{mode}"] if mode else ["AES_files_enc", "AES_files_dec"]
-        candidates.extend(base / n for n in names if (base / n / MANIFEST_NAME).exists())
-    if not candidates:
-        raise ParseError(f"no equation system found under {base}")
-    return candidates[0]
+    modes = [mode] if mode else system_mod.DIRECTIONS
+    for root in (base, *(base / system_dirname(m) for m in modes)):
+        if (root / MANIFEST_NAME).exists():
+            return root
+    raise ParseError(f"no equation system found under {base}")
 
 
 def cmd_generate(args) -> int:
@@ -81,7 +77,7 @@ def cmd_generate(args) -> int:
     else:
         print("## Deciphering process")
         system = system_mod.build_decryption_system()
-    print(f"## Create directory AES_files_{args.mode}")
+    print(f"## Create directory {system_dirname(args.mode)}")
     try:
         write_system(system, args.out)
     except OSError as exc:
@@ -110,30 +106,28 @@ def cmd_verify(args) -> int:
     for label, value in trace:
         print(f"## {label}")
         print(value)
-    oracle = reference_encrypt(block, key) if args.mode == "enc" else reference_decrypt(block, key)
-    print(f"{oracle.hex()} (FIPS result)")
-    if output == oracle:
-        return 0
     reference = system_mod.reference_trace(args.mode, block, key)
+    oracle = reference[-1][1]
+    print(f"{oracle} (FIPS result)")
+    if output.hex() == oracle:
+        return 0
     for (label, got), (_, want) in zip(trace, reference):
         if got != want:
             print(f"mismatch at stage {label}: files gave {got}, reference gives {want}",
                   file=sys.stderr)
             return 1
-    print(f"mismatch: files gave {output.hex()}, reference gives {oracle.hex()}",
-          file=sys.stderr)
+    print(f"mismatch: files gave {output.hex()}, reference gives {oracle}", file=sys.stderr)
     return 1
 
 
 def cmd_anf(args) -> int:
-    table = args.table
-    n = len(table).bit_length() - 1
-    if set(table) - {"0", "1"} or len(table) != 1 << n or n < 1 or n > MAX_ARITY:
+    try:
+        table = TruthTable.from_string(args.table)
+    except ValueError:
         print(f"error: table must be 2^n characters of 0/1 with 1 <= n <= {MAX_ARITY}",
               file=sys.stderr)
         return 2
-    anf = anf_from_truth_table(TruthTable.from_string(table))
-    print(anf.to_str())
+    print(anf_from_truth_table(table).to_str())
     return 0
 
 

@@ -41,6 +41,7 @@ STAGE_KINDS = {
     "InvMixColumns": StageKind(STATE_SPACE, "InvMixColumns {}", "invMixColumns{}", ("dec",)),
 }
 ADD_ROUND_KEY, ROUND, FINAL_ROUND, INV_ROUND, INV_MIX_COLUMNS = STAGE_KINDS
+DIRECTIONS = ("enc", "dec")
 
 _ROUND_KINDS = (ROUND, FINAL_ROUND, INV_ROUND)
 ROUND_INDICES = range(11)   # AES-128 rounds 0..10

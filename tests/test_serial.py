@@ -15,6 +15,7 @@ from aesbool.serial import (
     render_equation_lines,
     write_system,
 )
+from conftest import run_cli
 
 # the worked 16-variable example file: constant first, then ascending masks
 BIT_FILE_LINES = [
@@ -254,3 +255,94 @@ def test_read_rejects_unknown_stage_label(tmp_path, enc_system):
     manifest.write_text(text)
     with pytest.raises(ParseError, match="mystery0"):
         read_system(tmp_path / "AES_files_enc")
+
+
+# ---------------------------------------------------------------------------
+# the reader accepts only what the writer writes
+
+def _two_stage_system():
+    """An encryption system of AddRoundKey0 and a Round0 of column mixes."""
+    return system_mod.EquationSystem("enc", (
+        system_mod.Stage("AddRoundKey", 0, aes.addroundkey_equations(system_mod.ARK_SPACE)),
+        system_mod.Stage("Round", 0, aes.mixcolumns_equations(system_mod.STATE_SPACE)),
+    ))
+
+
+def test_manifest_single_byte_mutants_are_parse_errors(tmp_path):
+    write_system(_two_stage_system(), tmp_path)
+    root = tmp_path / "AES_files_enc"
+    manifest = root / "manifest.txt"
+    original = manifest.read_bytes()
+    assert read_system(root).direction == "enc"
+    rng = random.Random(41)
+    mutants = 0
+    for _ in range(3000):
+        pos = rng.randrange(len(original) + 1)
+        byte = bytes([rng.randrange(256)])
+        op = rng.choice(("replace", "insert", "delete"))
+        if op == "insert":
+            mutant = original[:pos] + byte + original[pos:]
+        else:
+            pos = min(pos, len(original) - 1)
+            mutant = original[:pos] + (byte if op == "replace" else b"") + original[pos + 1:]
+        if mutant == original:
+            continue
+        mutants += 1
+        manifest.write_bytes(mutant)
+        with pytest.raises(ParseError):
+            read_system(root)
+        rc, _, err = run_cli(["stats", "--files", str(root)])
+        assert rc == 2, (mutant, err)
+    assert mutants > 2900
+
+
+def _break_after_line_2(sep):
+    return lambda lines: b"\n".join(lines[:2]) + sep + b"\n".join(lines[2:]) + b"\n"
+
+
+@pytest.mark.parametrize("body, lineno", [
+    (lambda lines: b"".join(line + b"\r\n" for line in lines), 1),
+    (lambda lines: b"\n".join(lines), 5),
+    (_break_after_line_2(b"\f"), 2),
+    (_break_after_line_2(b"\v"), 2),
+], ids=["crlf", "unterminated", "form-feed", "vertical-tab"])
+def test_read_rejects_line_ends_the_writer_never_writes(tmp_path, body, lineno):
+    write_system(_two_stage_system(), tmp_path)
+    victim = tmp_path / "AES_files_enc" / "01_Round0" / "bit_000.eq"
+    lines = victim.read_bytes().split(b"\n")[:-1]
+    assert len(lines) == 5
+    victim.write_bytes(body(lines))
+    with pytest.raises(ParseError, match=rf"01_Round0/bit_000\.eq:{lineno}:"):
+        read_system(tmp_path / "AES_files_enc")
+
+
+def test_interrupted_write_leaves_nothing_behind(tmp_path, monkeypatch):
+    system = _two_stage_system()
+    out = tmp_path / "out"
+    render = serial_mod._render_stage
+
+    def interrupt(stage):
+        if stage.kind == "Round":
+            assert any(p.name == "01_Round0" for p in out.rglob("*"))
+            raise KeyboardInterrupt
+        return render(stage)
+
+    monkeypatch.setattr(serial_mod, "_render_stage", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        write_system(system, out)
+    assert list(out.iterdir()) == []
+    monkeypatch.undo()
+    write_system(system, out)
+    write_system(system, tmp_path / "clean")
+    assert [p.name for p in out.iterdir()] == ["AES_files_enc"]
+    assert tree_digest(out / "AES_files_enc") == tree_digest(tmp_path / "clean" / "AES_files_enc")
+
+
+def test_interrupted_rewrite_keeps_the_previous_tree(tmp_path, monkeypatch):
+    write_system(_two_stage_system(), tmp_path)
+    before = tree_digest(tmp_path / "AES_files_enc")
+    monkeypatch.setattr(serial_mod, "_render_stage", lambda stage: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        write_system(_two_stage_system(), tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["AES_files_enc"]
+    assert tree_digest(tmp_path / "AES_files_enc") == before
