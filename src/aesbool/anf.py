@@ -7,12 +7,12 @@ unions variable sets (x^2 = x), so the term set is always canonical and two
 ANFs are equal exactly when their term sets are equal.
 
 The canonical *ordering* of monomials is defined once, by
-``Anf.mask_strings``: each mask written as a '0'/'1' string with variable 0
-leftmost, sorted ascending -- the masks as big-endian integers with
-variable 0 in the most significant position.  Printing (``monomials``,
-``to_str``) and the one-line-per-monomial file format both use it.  It is
-materialized only when needed; the working representation is an
-unordered frozenset.
+``Anf.bit_rows``: each mask written as a row of bits with variable 0
+leftmost, rows sorted ascending -- the masks as big-endian integers with
+variable 0 in the most significant position.  Printing (``mask_strings``,
+``monomials``, ``to_str``) and the one-line-per-monomial file format both
+use it.  It is materialized only when needed; the working representation
+is an unordered frozenset.
 """
 
 from __future__ import annotations
@@ -173,10 +173,32 @@ class Anf:
             used |= m
         return frozenset(_vars_from_mask(used))
 
+    def bit_rows(self) -> np.ndarray:
+        """Monomial masks as a ``(terms, width)`` 0/1 ``uint8`` matrix in
+        canonical order, column j carrying variable j."""
+        nbytes = self.width // 8 + 1   # at least one byte, for the zero-width space
+        raw = b"".join(m.to_bytes(nbytes, "little") for m in self.terms)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(self.terms), nbytes),
+                             axis=1, bitorder="little")
+        # the rows as big-endian byte strings, variable 0 most significant,
+        # compared byte by byte
+        keys = np.packbits(bits, axis=1).view(f"V{nbytes}").ravel()
+        return bits[np.argsort(keys), :self.width]
+
+    @classmethod
+    def from_bit_rows(cls, rows: np.ndarray) -> "Anf":
+        """Inverse of :meth:`bit_rows`: rows in any order, repeated rows cancel."""
+        count, width = rows.shape
+        packed = np.packbits(rows, axis=1, bitorder="little")
+        data, step = packed.tobytes(), packed.shape[1]
+        return cls(width, (int.from_bytes(data[i * step:(i + 1) * step], "little")
+                           for i in range(count)))
+
     def mask_strings(self) -> list[str]:
         """Monomial masks as '0'/'1' strings, variable 0 leftmost, in
         canonical order: ascending, so the constant monomial comes first."""
-        return sorted(format(m, f"0{self.width}b")[::-1] for m in self.terms)
+        text = (self.bit_rows() | ord("0")).tobytes().decode("ascii")
+        return [text[i * self.width:(i + 1) * self.width] for i in range(len(self.terms))]
 
     def monomials(self) -> list[tuple[int, ...]]:
         """Monomials as sorted index tuples, in canonical order."""

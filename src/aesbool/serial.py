@@ -11,8 +11,15 @@ constant monomial, whose mask is all zeros) followed, with no delimiter, by
 a '0'/'1' mask of the stage input width -- 128 state positions, plus 128
 key positions for AddRoundKey stages.  Mask position j (variable 0
 leftmost) is 1 exactly when variable j participates.  Lines are in the
-canonical order of ``Anf.mask_strings``, each ends in one line feed, and
-the zero equation is an empty file.
+canonical order of ``Anf.bit_rows``, each ends in one line feed, and the
+zero equation is an empty file.
+
+A file body is a byte matrix of one row per monomial, ``width + 2`` bytes
+wide (flag, mask, line feed).  The writer fills that matrix from the
+equation's bit rows and writes it whole; the reader views the file's bytes
+as the matrix, checks every row at once and packs the mask columns back
+into the monomial masks.  Only the message for the first bad line is built
+line by line.
 
 Each name in the tree and the manifest text are built by one function
 here, and the reader inverts the writer: it takes only the direction and
@@ -30,8 +37,12 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from .anf import Anf
 from .system import DIRECTIONS, STAGE_KINDS, TRACE_LABELS, EquationSystem, Stage
+
+_ZERO, _ONE, _LF = b"01\n"   # the byte values of the .eq characters
 
 MANIFEST_NAME = "manifest.txt"
 END_NAME = "END"
@@ -71,35 +82,65 @@ def render_manifest(direction: str, stages: list[tuple[str, str]]) -> str:
     return "".join(lines)
 
 
+def _render_equation(anf: Anf) -> bytes:
+    """The ``.eq`` body of an equation: one byte row per monomial of
+    ``Anf.bit_rows`` -- constant flag, mask characters, line feed."""
+    bits = anf.bit_rows()
+    body = np.empty((len(bits), anf.width + 2), dtype=np.uint8)
+    body[:, 0] = np.where(bits.any(axis=1), _ZERO, _ONE)
+    body[:, 1:-1] = bits | _ZERO
+    body[:, -1] = _LF
+    return body.tobytes()
+
+
+def _parse_equation(data: bytes, width: int, source) -> Anf:
+    """Decode an ASCII ``.eq`` body into an ANF over ``width`` variables.
+
+    The lines before the first one of the wrong length form a byte matrix
+    whose every row is checked at once; a malformed body raises ParseError
+    naming its first bad line.  Rows in any order XOR together.
+    """
+    chars = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(chars == _LF)
+    if data and chars[-1] != _LF:
+        raise ParseError(f"{source}:{len(ends) + 1}: last line has no line feed")
+    lengths = np.diff(ends, prepend=-1) - 1
+    wrong = np.flatnonzero(lengths != width + 1)
+    count = int(wrong[0]) if len(wrong) else len(ends)
+    digits = chars[:count * (width + 2)].reshape(count, width + 2)[:, :-1] - _ZERO
+    illegal = (digits > 1).any(axis=1)      # any byte but '0' (0) and '1' (1)
+    marked = digits[:, 0] == 1
+    # the flag must be '1' exactly on the all-zero mask
+    bad = illegal | (marked == digits[:, 1:].any(axis=1))
+    if bad.any():
+        line = int(np.argmax(bad))
+        if illegal[line]:
+            problem = "illegal character"
+        elif marked[line]:
+            problem = "constant line must have an all-zero mask"
+        else:
+            problem = "empty monomial must use the constant marker"
+        raise ParseError(f"{source}:{line + 1}: {problem}")
+    if count < len(ends):
+        raise ParseError(
+            f"{source}:{count + 1}: expected {width + 1} characters, got {lengths[count]}")
+    return Anf.from_bit_rows(digits[:, 1:])
+
+
 def render_equation_lines(anf: Anf) -> list[str]:
     """Encode an ANF as its sorted monomial lines (without newlines)."""
-    return [("0" if "1" in mask else "1") + mask for mask in anf.mask_strings()]
+    return _render_equation(anf).decode("ascii").split("\n")[:-1]
 
 
 def parse_equation_lines(lines, width: int, *, source: str = "<memory>") -> Anf:
     """Decode monomial lines back into an ANF over ``width`` variables."""
-    terms = []
-    for lineno, line in enumerate(lines, start=1):
-        if len(line) != 1 + width:
-            raise ParseError(
-                f"{source}:{lineno}: expected {1 + width} characters, got {len(line)}")
-        const, mask_str = line[0], line[1:]
-        if const not in "01" or set(mask_str) - {"0", "1"}:
-            raise ParseError(f"{source}:{lineno}: illegal character")
-        mask = int(mask_str[::-1], 2) if "1" in mask_str else 0
-        if const == "1" and mask:
-            raise ParseError(
-                f"{source}:{lineno}: constant line must have an all-zero mask")
-        if const == "0" and not mask:
-            raise ParseError(
-                f"{source}:{lineno}: empty monomial must use the constant marker")
-        terms.append(mask)
-    return Anf(width, terms)
+    # a character no line may hold becomes one '?', so lengths stay and it is illegal
+    body = "".join(line.replace("\n", "?") + "\n" for line in lines)
+    return _parse_equation(body.encode("ascii", "replace"), width, source)
 
 
 def _render_stage(stage: Stage) -> list[bytes]:
-    return ["".join(line + "\n" for line in render_equation_lines(eq)).encode("ascii")
-            for eq in stage.equations]
+    return [_render_equation(eq) for eq in stage.equations]
 
 
 def write_system(system: EquationSystem, dest) -> Path:
@@ -153,11 +194,10 @@ def _read_bytes(path: Path, missing: str) -> bytes:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
-def _decode_ascii(path: Path, data: bytes) -> str:
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+def _check_ascii(path: Path, data: bytes) -> None:
+    if not data.isascii():
+        offset = next(i for i, byte in enumerate(data) if byte >= 0x80)
+        raise ParseError(f"{path}: non-ASCII byte at offset {offset}")
 
 
 def _split_lines(text: str, source) -> list[str]:
@@ -171,8 +211,9 @@ def _split_lines(text: str, source) -> list[str]:
 def _read_manifest(manifest: Path) -> tuple[str, list[tuple[str, str, int]]]:
     """Direction and (trace label, kind, round index) stages of a manifest,
     whose text must equal the rendering of its direction and labels."""
-    text = _decode_ascii(manifest, _read_bytes(
-        manifest, "manifest not found (incomplete or foreign directory)"))
+    data = _read_bytes(manifest, "manifest not found (incomplete or foreign directory)")
+    _check_ascii(manifest, data)
+    text = data.decode("ascii")
     lines = _split_lines(text, manifest)
     # with no header matching, the comparison below names the first wrong line
     direction = next((d for d in DIRECTIONS if text.startswith(_MANIFEST_HEADER.format(d))),
@@ -214,8 +255,8 @@ def read_system(path) -> EquationSystem:
             eq_path = stage_dir / _bit_filename(bit)
             data = _read_bytes(eq_path, "missing equation file")
             if (width, data) not in parsed:
-                lines = _split_lines(_decode_ascii(eq_path, data), eq_path)
-                parsed[width, data] = parse_equation_lines(lines, width, source=str(eq_path))
+                _check_ascii(eq_path, data)
+                parsed[width, data] = _parse_equation(data, width, eq_path)
             equations.append(parsed[width, data])
         stages.append(Stage(kind, round_index, equations))
     return EquationSystem(direction, tuple(stages))

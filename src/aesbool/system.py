@@ -108,6 +108,15 @@ class EquationSystem:
     direction: str
     stages: tuple[Stage, ...]
 
+    def __post_init__(self):
+        # the checks that make every system read back as itself from its files
+        if self.direction not in DIRECTIONS:
+            raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
+        for st in self.stages:
+            if TRACE_LABELS.get((self.direction, st.trace_label)) != (st.kind, st.round_index):
+                raise ValueError(f"no {st.kind} stage of round {st.round_index}"
+                                 f" in the {self.direction} system")
+
     @cached_property
     def kernels(self) -> tuple[Kernel, ...]:
         """One compiled kernel per stage, built on first evaluation.
@@ -148,16 +157,14 @@ class EquationSystem:
         }
 
 
-def _composed_round_equations() -> tuple[Anf, ...]:
+def _composed_round_equations(sb: Sequence[Anf]) -> tuple[Anf, ...]:
     """Full-round equations: column mix of row-shifted substituted bits."""
-    sb = aes.subbytes_equations(STATE_SPACE)
     mc = aes.mixcolumns_equations(STATE_SPACE)
     bindings = {j: sb[aes.SHIFTROWS_SOURCE[j]] for j in range(aes.BLOCK_BITS)}
     return tuple(mc[i].substitute(bindings) for i in range(aes.BLOCK_BITS))
 
 
-def _final_round_equations() -> tuple[Anf, ...]:
-    sb = aes.subbytes_equations(STATE_SPACE)
+def _final_round_equations(sb: Sequence[Anf]) -> tuple[Anf, ...]:
     return tuple(sb[aes.SHIFTROWS_SOURCE[i]] for i in range(aes.BLOCK_BITS))
 
 
@@ -165,19 +172,16 @@ def _inv_round_equations() -> tuple[Anf, ...]:
     """Byte-inverse of the shifted state: substitution applied after the
     inverse row shift, kept separate from the inverse column mix."""
     isb = aes.inv_subbytes_equations(STATE_SPACE)
-    bindings = {
-        j: Anf.variable(aes.BLOCK_BITS, aes.INV_SHIFTROWS_SOURCE[j])
-        for j in range(aes.BLOCK_BITS)
-    }
-    return tuple(isb[i].substitute(bindings) for i in range(aes.BLOCK_BITS))
+    return tuple(eq.rename(aes.INV_SHIFTROWS_SOURCE) for eq in isb)
 
 
 def build_encryption_system() -> EquationSystem:
     """AddRoundKey0, Round0..Round8, AddRoundKey9, Round9 (no column mix),
     AddRoundKey10 -- with each AddRoundKey introducing a fresh key set."""
     ark = tuple(aes.addroundkey_equations(ARK_SPACE))
-    round_eqs = _composed_round_equations()
-    final_eqs = _final_round_equations()
+    sb = aes.subbytes_equations(STATE_SPACE)
+    round_eqs = _composed_round_equations(sb)
+    final_eqs = _final_round_equations(sb)
     stages = [Stage(ADD_ROUND_KEY, 0, ark)]
     for r in range(9):
         stages.append(Stage(ROUND, r, round_eqs))

@@ -346,3 +346,123 @@ def test_interrupted_rewrite_keeps_the_previous_tree(tmp_path, monkeypatch):
         write_system(_two_stage_system(), tmp_path)
     assert [p.name for p in tmp_path.iterdir()] == ["AES_files_enc"]
     assert tree_digest(tmp_path / "AES_files_enc") == before
+
+
+# ---------------------------------------------------------------------------
+# the byte-matrix codec against the per-line code it replaced
+
+def _per_line_parse(lines, width, source):
+    """The per-line decoder the codec replaced, kept as the reference."""
+    terms = []
+    for lineno, line in enumerate(lines, start=1):
+        if len(line) != 1 + width:
+            raise ParseError(
+                f"{source}:{lineno}: expected {1 + width} characters, got {len(line)}")
+        const, mask_str = line[0], line[1:]
+        if const not in "01" or set(mask_str) - {"0", "1"}:
+            raise ParseError(f"{source}:{lineno}: illegal character")
+        mask = int(mask_str[::-1], 2) if "1" in mask_str else 0
+        if const == "1" and mask:
+            raise ParseError(f"{source}:{lineno}: constant line must have an all-zero mask")
+        if const == "0" and not mask:
+            raise ParseError(f"{source}:{lineno}: empty monomial must use the constant marker")
+        terms.append(mask)
+    return Anf(width, terms)
+
+
+def _per_line_read(data, width, source):
+    """How the per-line reader decoded the bytes of one .eq file."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source}: non-ASCII byte at offset {exc.start}") from None
+    lines = text.split("\n")
+    if lines.pop():
+        raise ParseError(f"{source}:{len(lines) + 1}: last line has no line feed")
+    return _per_line_parse(lines, width, source)
+
+
+def _per_term_render(anf):
+    """The per-term encoder the codec replaced, kept as the reference."""
+    masks = sorted(format(m, f"0{anf.width}b")[::-1] for m in anf.terms)
+    return "".join(("0" if "1" in mask else "1") + mask + "\n" for mask in masks)
+
+
+def test_eq_single_byte_mutants_read_like_the_per_line_parser(tmp_path, enc_system):
+    # an S-box-rich equation with a constant line (bit 1 of the composed
+    # round, 448 monomials of degree up to 7) beside 127 empty equations
+    rich = enc_system.stages[1].equations[1]
+    assert 0 in rich.terms and rich.degree() == 7
+    write_system(system_mod.EquationSystem("enc", (
+        system_mod.Stage("Round", 0, [rich] + [Anf.zero(128)] * 127),)), tmp_path)
+    root = tmp_path / "AES_files_enc"
+    victim = root / "00_Round0" / "bit_000.eq"
+    original = victim.read_bytes()
+    stride = 128 + 2
+    rng = random.Random(43)
+    outcomes = set()
+    for _ in range(2400):
+        # uniform positions, mixed with those where the rarer errors live:
+        # the flags, the constant (first) line and the last line
+        pos = rng.choice((
+            rng.randrange(len(original) + 1),
+            rng.randrange(len(original) // stride) * stride,
+            rng.choice((0, rng.randrange(stride))),
+            len(original) - rng.randrange(stride + 1),
+        ))
+        byte = bytes([rng.choice(b"01\n") if rng.random() < 0.75 else rng.randrange(256)])
+        op = rng.choice(("replace", "insert", "delete"))
+        if op == "insert":
+            mutant = original[:pos] + byte + original[pos:]
+        else:
+            pos = min(pos, len(original) - 1)
+            mutant = original[:pos] + (byte if op == "replace" else b"") + original[pos + 1:]
+        victim.write_bytes(mutant)
+        try:
+            expected = _per_line_read(mutant, 128, str(victim))
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                read_system(root)
+            assert str(got.value) == str(exc), mutant
+            outcomes.add(str(exc).split(": ")[-1].split(" ")[0])
+        else:
+            assert read_system(root).stages[0].equations[0] == expected, mutant
+            outcomes.add("read")
+    # every error the reader can report in an .eq file, and valid reads
+    assert outcomes == {"non-ASCII", "last", "expected", "illegal", "constant", "empty",
+                        "read"}
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 8, 9, 16, 20, 128, 256])
+def test_rendering_matches_the_per_term_encoder(width):
+    rng = random.Random(width)
+    anfs = [Anf.zero(width), Anf.one(width), Anf(width, [rng.getrandbits(width) | 1])]
+    for _ in range(30):
+        count = rng.randrange(1, min(1 << width, 400))
+        anfs.append(Anf(width, [rng.getrandbits(width) & rng.getrandbits(width)
+                                for _ in range(count)]))
+    for anf in anfs:
+        text = _per_term_render(anf)
+        assert serial_mod._render_equation(anf) == text.encode("ascii")
+        assert render_equation_lines(anf) == text.split("\n")[:-1]
+        assert anf.mask_strings() == [line[1:] for line in text.split("\n")[:-1]]
+        assert parse_equation_lines(text.split("\n")[:-1], width) == anf
+
+
+@pytest.mark.parametrize("lines", [
+    ["0010", "0é10"],      # a non-ASCII character
+    ["0010", "00\n1"],     # a line feed inside a line
+    ["0010", "0\r10"],
+    ["0010", "001é"],      # non-ASCII and too long
+    ["0010", "0010", "1000", "1000", "1000"],   # repeated lines fold
+    ["0001", "1000", "0100"],                   # out of order
+])
+def test_line_wrapper_matches_the_per_line_parser(lines):
+    try:
+        expected = _per_line_parse(lines, 3, "eq")
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_equation_lines(lines, 3, source="eq")
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_equation_lines(lines, 3, source="eq") == expected

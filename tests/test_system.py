@@ -109,6 +109,18 @@ def test_make_stage_validation():
         system_mod.Stage("Round", 11, [Anf.one(128)] * 128)
 
 
+@pytest.mark.parametrize("direction, stages", [
+    ("enc", [("InvMixColumns", 1)]),   # a decryption-only kind
+    ("sideways", []),                  # no such direction
+    ("enc", [("Round", 9)]),           # the encryption Round9 is the FinalRound
+], ids=["enc-invmixcolumns", "sideways", "enc-round9"])
+def test_system_rejects_stages_its_files_cannot_name(direction, stages):
+    # each of these would write a tree that reads back as an error or as another system
+    with pytest.raises(ValueError):
+        system_mod.EquationSystem(direction, tuple(
+            system_mod.Stage(kind, r, [Anf.one(128)] * 128) for kind, r in stages))
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
