@@ -13,10 +13,16 @@ variable 0 in the most significant position.  Printing (``mask_strings``,
 ``monomials``, ``to_str``) and the one-line-per-monomial file format both
 use it.  It is materialized only when needed; the working representation
 is an unordered frozenset.
+
+Whole masks are the unit of work wherever a layout allows it: renaming by
+an offset shifts each mask, and ``from_bit_rows`` builds each mask from
+its row's ``uint64`` words.
 """
 
 from __future__ import annotations
 
+import operator
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -168,16 +174,19 @@ class Anf:
 
     def variables(self) -> frozenset[int]:
         """All variable indices appearing in any monomial."""
+        return frozenset(_vars_from_mask(self._used_mask()))
+
+    def _used_mask(self) -> int:
         used = 0
         for m in self.terms:
             used |= m
-        return frozenset(_vars_from_mask(used))
+        return used
 
     def bit_rows(self) -> np.ndarray:
         """Monomial masks as a ``(terms, width)`` 0/1 ``uint8`` matrix in
         canonical order, column j carrying variable j."""
         nbytes = self.width // 8 + 1   # at least one byte, for the zero-width space
-        raw = b"".join(m.to_bytes(nbytes, "little") for m in self.terms)
+        raw = b"".join(map(operator.methodcaller("to_bytes", nbytes, "little"), self.terms))
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(self.terms), nbytes),
                              axis=1, bitorder="little")
         # the rows as big-endian byte strings, variable 0 most significant,
@@ -187,12 +196,25 @@ class Anf:
 
     @classmethod
     def from_bit_rows(cls, rows: np.ndarray) -> "Anf":
-        """Inverse of :meth:`bit_rows`: rows in any order, repeated rows cancel."""
+        """Inverse of :meth:`bit_rows`: rows in any order, repeated rows cancel.
+
+        The rows are packed into little-endian ``uint64`` words, and each
+        mask is its words shifted into place; masks decoded from ``width``
+        columns are in range by construction.
+        """
         count, width = rows.shape
-        packed = np.packbits(rows, axis=1, bitorder="little")
-        data, step = packed.tobytes(), packed.shape[1]
-        return cls(width, (int.from_bytes(data[i * step:(i + 1) * step], "little")
-                           for i in range(count)))
+        packed = np.zeros((count, 8 * max(1, -(-width // 64))), dtype=np.uint8)
+        packed[:, :-(-width // 8)] = np.packbits(rows, axis=1, bitorder="little")
+        words = packed.view("<u8").T.tolist()   # word k of every row: bits 64k..64k+63
+        masks = words[0]
+        for k in range(1, len(words)):
+            masks = list(map(operator.or_, masks, map(operator.lshift, words[k], repeat(64 * k))))
+        # a frozenset copied from a set is sized to it; one grown from a
+        # list keeps the slack of its growth, up to twice the size
+        terms = set(masks)
+        if len(terms) < count:   # a repeated row: fold the rows pairwise
+            terms = _xor_fold(masks)
+        return cls(width, _terms=frozenset(terms))
 
     def mask_strings(self) -> list[str]:
         """Monomial masks as '0'/'1' strings, variable 0 leftmost, in
@@ -250,10 +272,9 @@ class Anf:
             raise ValueError("bindings span different variable spaces")
         target = widths.pop() if widths else self.width
         acc: set[int] = set()
-        one = Anf.one(target)
-        prod_cache: dict[int, Anf] = {0: one}
+        prod_cache: dict[int, Anf] = {0: Anf.one(target)}
         for mask in self.terms:
-            acc ^= _substituted_product(mask, bindings, one, prod_cache, max_terms).terms
+            acc ^= _substituted_product(mask, bindings, prod_cache, max_terms).terms
             if len(acc) > max_terms:
                 raise TermLimitError(f"substitution exceeds {max_terms} terms")
         return Anf(target, _terms=frozenset(acc))
@@ -263,14 +284,24 @@ class Anf:
 
         ``mapping`` is an int offset, a sequence indexed by old variable, or
         a mapping {old: new}.  ``width`` sets the target space (defaults to
-        the current width).
+        the current width).  An offset shifts every mask at once.
         """
         new_width = self.width if width is None else width
-        used = self.variables()
         if isinstance(mapping, int):
-            table = {v: v + mapping for v in used}
-        else:
-            table = {v: mapping[v] for v in used}
+            used = self._used_mask()
+            if used:
+                # the images of the lowest and the highest used variable
+                for img in ((used & -used).bit_length() - 1 + mapping,
+                            used.bit_length() - 1 + mapping):
+                    if not 0 <= img < new_width:
+                        raise ValueError(
+                            f"renamed index {img} outside space of width {new_width}")
+            if mapping >= 0:
+                terms = frozenset(map(operator.lshift, self.terms, repeat(mapping)))
+            else:
+                terms = frozenset(map(operator.rshift, self.terms, repeat(-mapping)))
+            return Anf(new_width, _terms=terms)
+        table = {v: mapping[v] for v in self.variables()}
         images = set(table.values())
         if len(images) != len(table):
             raise ValueError("rename mapping is not injective")
@@ -330,17 +361,20 @@ class Anf:
     __str__ = to_str
 
 
-def _substituted_product(mask: int, bindings: Mapping[int, Anf], one: Anf,
+def _substituted_product(mask: int, bindings: Mapping[int, Anf],
                          cache: dict[int, Anf], max_terms: int) -> Anf:
+    """Product of the bindings of the variables of a non-constant ``mask``
+    (the constant monomial is seeded in ``cache``)."""
     if mask in cache:
         return cache[mask]
-    prod = one
+    prod = None
     for v in _vars_from_mask(mask):
         try:
             g = bindings[v]
         except KeyError:
             raise ValueError(f"variable {v} is unbound in substitution") from None
-        prod = prod.multiply(g, max_terms)
+        # a linear monomial is its one binding, with no product taken
+        prod = g if prod is None else prod.multiply(g, max_terms)
     cache[mask] = prod
     return prod
 

@@ -19,7 +19,9 @@ wide (flag, mask, line feed).  The writer fills that matrix from the
 equation's bit rows and writes it whole; the reader views the file's bytes
 as the matrix, checks every row at once and packs the mask columns back
 into the monomial masks.  Only the message for the first bad line is built
-line by line.
+line by line.  The writer gives every stage of one kind the same file for
+a bit, so the reader compares each file with those it already parsed at
+the same (kind, bit) and shares the Anf of an equal one.
 
 Each name in the tree and the manifest text are built by one function
 here, and the reader inverts the writer: it takes only the direction and
@@ -171,8 +173,10 @@ def write_system(system: EquationSystem, dest) -> Path:
             stage_dir.mkdir()
             if stage.equations not in rendered_cache:
                 rendered_cache[stage.equations] = _render_stage(stage)
+            prefix = os.path.join(stage_dir, "")
             for bit, body in enumerate(rendered_cache[stage.equations]):
-                (stage_dir / _bit_filename(bit)).write_bytes(body)
+                with open(prefix + _bit_filename(bit), "wb") as f:
+                    f.write(body)
         (tree / END_NAME).write_bytes(b"")
         manifest = render_manifest(
             system.direction, [(st.trace_label, st.kind) for st in system.stages])
@@ -185,16 +189,17 @@ def write_system(system: EquationSystem, dest) -> Path:
     return root / MANIFEST_NAME
 
 
-def _read_bytes(path: Path, missing: str) -> bytes:
+def _read_bytes(path, missing: str) -> bytes:
     try:
-        return path.read_bytes()
+        with open(path, "rb") as f:
+            return f.read()
     except FileNotFoundError:
         raise ParseError(f"{path}: {missing}") from None
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
-def _check_ascii(path: Path, data: bytes) -> None:
+def _check_ascii(path, data: bytes) -> None:
     if not data.isascii():
         offset = next(i for i, byte in enumerate(data) if byte >= 0x80)
         raise ParseError(f"{path}: non-ASCII byte at offset {offset}")
@@ -242,21 +247,26 @@ def read_system(path) -> EquationSystem:
     """Rebuild an EquationSystem from a directory write_system produced."""
     root = Path(path)
     direction, entries = _read_manifest(root / MANIFEST_NAME)
-    # Byte-identical files, such as those of the nine Round stages of an
-    # encryption tree, parse once into one shared Anf, so equal stages
-    # compare by identity when their kernels and renderings are deduplicated.
-    parsed: dict[tuple[int, bytes], Anf] = {}
+    # Files of one (kind, bit) are byte-identical in every stage the writer
+    # wrote, such as the nine Round stages of an encryption tree.  Each file
+    # is compared with those already parsed there and shares the Anf of an
+    # equal one, so equal stages compare by identity when their kernels and
+    # renderings are deduplicated.
+    parsed: dict[tuple[str, int], list[tuple[bytes, Anf]]] = {}
     stages = []
     for index, (label, kind, round_index) in enumerate(entries):
         width = STAGE_KINDS[kind].space.width
-        stage_dir = root / _stage_dirname(index, label)
+        prefix = os.path.join(root / _stage_dirname(index, label), "")
         equations = []
         for bit in range(128):
-            eq_path = stage_dir / _bit_filename(bit)
+            eq_path = prefix + _bit_filename(bit)
             data = _read_bytes(eq_path, "missing equation file")
-            if (width, data) not in parsed:
+            known = parsed.setdefault((kind, bit), [])
+            eq = next((anf for seen, anf in known if seen == data), None)
+            if eq is None:
                 _check_ascii(eq_path, data)
-                parsed[width, data] = _parse_equation(data, width, eq_path)
-            equations.append(parsed[width, data])
+                eq = _parse_equation(data, width, eq_path)
+                known.append((data, eq))
+            equations.append(eq)
         stages.append(Stage(kind, round_index, equations))
     return EquationSystem(direction, tuple(stages))

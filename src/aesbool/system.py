@@ -170,9 +170,12 @@ def _final_round_equations(sb: Sequence[Anf]) -> tuple[Anf, ...]:
 
 def _inv_round_equations() -> tuple[Anf, ...]:
     """Byte-inverse of the shifted state: substitution applied after the
-    inverse row shift, kept separate from the inverse column mix."""
-    isb = aes.inv_subbytes_equations(STATE_SPACE)
-    return tuple(eq.rename(aes.INV_SHIFTROWS_SOURCE) for eq in isb)
+    inverse row shift, kept separate from the inverse column mix.  The
+    shift moves whole bytes, so each coordinate is placed by the offset of
+    its source byte."""
+    coords = aes.inv_sbox_coordinate_anfs()
+    return tuple(coords[i % 8].rename(aes.INV_SHIFTROWS_SOURCE[i - i % 8], width=aes.BLOCK_BITS)
+                 for i in range(aes.BLOCK_BITS))
 
 
 def build_encryption_system() -> EquationSystem:

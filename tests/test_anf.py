@@ -60,6 +60,35 @@ def test_to_str_constants():
     assert Anf.one(4).to_str() == "1"
 
 
+def _per_row_decode(rows):
+    """The per-row decoder from_bit_rows replaced, kept as the reference:
+    one little-endian int per packed row, XOR-folded and range-checked."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return Anf(rows.shape[1], [int.from_bytes(row.tobytes(), "little") for row in packed])
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 63, 64, 65, 127, 128, 129, 256])
+def test_from_bit_rows_matches_the_per_row_decoder(width):
+    rng = np.random.default_rng(width)
+    for trial in range(30):
+        distinct = rng.integers(0, 2, size=(int(rng.integers(0, 25)), width), dtype=np.uint8)
+        distinct[:trial % 2] = 0   # every other trial holds the constant monomial
+        distinct = np.unique(distinct, axis=0)
+        # each row once, twice (cancelling) or three times, in shuffled order
+        times = rng.integers(1, 4, size=len(distinct))
+        rows = np.repeat(distinct, times, axis=0)
+        rows = rows[rng.permutation(len(rows))]
+        # with a leading column, as the reader hands over its byte matrix
+        framed = np.concatenate((np.ones((len(rows), 1), dtype=np.uint8), rows), axis=1)
+        got = Anf.from_bit_rows(framed[:, 1:])
+        assert got == _per_row_decode(rows)
+        assert got.width == width and isinstance(got.terms, frozenset)
+        assert len(got.terms) == int((times % 2).sum())
+        assert Anf.from_bit_rows(got.bit_rows()) == got
+    empty = Anf.from_bit_rows(np.zeros((0, width), dtype=np.uint8))
+    assert empty == Anf.zero(width)
+
+
 # ---------------------------------------------------------------------------
 # xor
 
@@ -239,6 +268,37 @@ def test_rename_rejects_out_of_space():
     f = Anf.from_terms(3, [(2,)])
     with pytest.raises(ValueError):
         f.rename(5, width=6)
+
+
+def test_rename_by_offset_matches_the_dict_rename():
+    rng = random.Random(11)
+    for width, low, high in ((8, 0, 8), (16, 4, 12), (130, 60, 70), (256, 128, 256)):
+        anfs = [Anf.zero(width), Anf.one(width)]
+        for _ in range(20):
+            anfs.append(Anf.from_terms(width, [
+                [v for v in range(low, high) if rng.random() < 0.3]
+                for _ in range(rng.randrange(1, 12))]))
+        # offsets that put the used range at either end of the target space
+        for offset in (-low, -low // 2, 0, 1, 64, 128 - high % 128 + 3):
+            target = high + max(offset, 0)
+            table = {v: v + offset for v in range(width)}
+            for f in anfs:
+                assert f.rename(offset, width=target) == f.rename(table, width=target)
+
+
+def test_rename_by_offset_rejects_indices_at_the_edges():
+    f = Anf.from_terms(8, [(2, 5), (3,)])
+    assert f.rename(-2).variables() == frozenset({0, 1, 3})
+    assert f.rename(2).variables() == frozenset({4, 5, 7})
+    with pytest.raises(ValueError, match=r"^renamed index -1 outside space of width 8$"):
+        f.rename(-3)
+    with pytest.raises(ValueError, match=r"^renamed index 8 outside space of width 8$"):
+        f.rename(3)
+    with pytest.raises(ValueError, match=r"^renamed index 5 outside space of width 5$"):
+        f.rename(0, width=5)
+    # nothing to move: constants rename into any width
+    assert Anf.one(8).rename(-100, width=1) == Anf.one(1)
+    assert Anf.zero(8).rename(300, width=0) == Anf.zero(0)
 
 
 def test_rename_permuted_evaluation():

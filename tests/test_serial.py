@@ -186,6 +186,51 @@ def test_round_trip_enc(written, enc_system):
     assert all(a is b for eqs in rounds[1:] for a, b in zip(rounds[0], eqs))
 
 
+@pytest.mark.parametrize("altered", [0, 2])
+def test_read_shares_equal_files_of_one_kind_and_bit(tmp_path, altered):
+    # five Round stages of column mixes, bit 5 of one of them holding bit 6's
+    # equation: a valid tree
+    mix = aes.mixcolumns_equations(system_mod.STATE_SPACE)
+    wrong = mix[:5] + [mix[6]] + mix[6:]
+    system = system_mod.EquationSystem("enc", tuple(
+        system_mod.Stage("Round", r, wrong if r == altered else mix) for r in range(5)))
+    write_system(system_mod.EquationSystem("enc", tuple(
+        system_mod.Stage("Round", r, mix) for r in range(5))), tmp_path)
+    stage_dir = tmp_path / "AES_files_enc" / f"{altered:02d}_Round{altered}"
+    (stage_dir / "bit_005.eq").write_bytes((stage_dir / "bit_006.eq").read_bytes())
+    back = read_system(tmp_path / "AES_files_enc")
+    assert back == system
+    # the other four stages still share one Anf for every bit
+    others = [st.equations for st in back.stages if st.round_index != altered]
+    assert all(a is b for eqs in others[1:] for a, b in zip(others[0], eqs))
+    assert all(a is b for j, (a, b) in enumerate(zip(others[0], back.stages[altered].equations))
+               if j != 5)
+
+
+def _non_ascii(path):
+    path.write_bytes(b"\xff")
+
+
+def _directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.mark.parametrize("damage, problem", [
+    (_non_ascii, "non-ASCII byte at offset 0"),
+    (_directory, "cannot read: Is a directory"),
+    (Path.unlink, "missing equation file"),
+], ids=["non-ascii", "directory", "missing"])
+def test_read_errors_name_the_file_as_given(tmp_path, monkeypatch, damage, problem):
+    write_system(_two_stage_system(), tmp_path)
+    monkeypatch.chdir(tmp_path / "AES_files_enc")
+    damage(tmp_path / "AES_files_enc" / "01_Round0" / "bit_005.eq")
+    for root in (".", "../AES_files_enc/", tmp_path / "AES_files_enc"):
+        with pytest.raises(ParseError) as got:
+            read_system(root)
+        assert str(got.value) == f"{Path(root) / '01_Round0' / 'bit_005.eq'}: {problem}"
+
+
 def test_round_trip_dec(written, dec_system):
     back = read_system(written / "AES_files_dec")
     assert back == dec_system

@@ -98,6 +98,15 @@ def test_final_round_is_shift_of_substitution(enc_system):
         assert final.equations[i] == sb[aes.SHIFTROWS_SOURCE[i]]
 
 
+def test_inv_round_is_substitution_after_inverse_shift(dec_system):
+    isb = aes.inv_subbytes_equations(system_mod.STATE_SPACE)
+    expected = tuple(eq.rename(aes.INV_SHIFTROWS_SOURCE) for eq in isb)
+    inv_rounds = [st for st in dec_system.stages if st.kind == "InvRound"]
+    assert len(inv_rounds) == 10
+    for stage in inv_rounds:
+        assert stage.equations == expected
+
+
 def test_make_stage_validation():
     with pytest.raises(ValueError):
         system_mod.Stage("Round", 0, [Anf.one(128)] * 127)
