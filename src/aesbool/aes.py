@@ -2,7 +2,12 @@
 
 Byte-level reference primitives (the oracle everything is checked against)
 and symbolic per-bit ANF builders for every cipher sub-function and its
-inverse.  Bit conventions, used consistently:
+inverse.  The oracle is table-driven: SubBytes is a ``bytes.translate``
+through SBOX, MixColumns XORs the state translated through one 256-byte
+GF(2^8) product table per coefficient (each built from ``gf_mul``), and
+AddRoundKey and the key schedule XOR whole blocks and words as ints.  It
+uses no equation, so it stays independent of what it checks.  Bit
+conventions, used consistently:
 
   * a 128-bit block is a 16-byte string in FIPS hex order;
   * bit b_i lives in byte i // 8, most significant bit first;
@@ -13,6 +18,7 @@ The substitution table is embedded as data; its inverse is derived from it.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from .anf import Anf, VarSpace
@@ -92,19 +98,16 @@ def gf_mul(a: int, b: int) -> int:
     return r
 
 
-_REV8 = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_REV8_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def block_to_mask(block: bytes) -> int:
     """Pack a 16-byte block into an int with bit i carrying b_i."""
-    mask = 0
-    for pos, byte in enumerate(block):
-        mask |= _REV8[byte] << (8 * pos)
-    return mask
+    return int.from_bytes(block.translate(_REV8_BYTES), "little")
 
 
 def mask_to_block(mask: int) -> bytes:
-    return bytes(_REV8[(mask >> (8 * pos)) & 0xFF] for pos in range(BLOCK_BYTES))
+    return mask.to_bytes(BLOCK_BYTES, "little").translate(_REV8_BYTES)
 
 
 def block_from_hex(s: str) -> bytes:
@@ -115,59 +118,99 @@ def block_from_hex(s: str) -> bytes:
 
 # ---------------------------------------------------------------------------
 # Byte-level reference primitives
+#
+# A state is 16 bytes, byte r + 4c holding row r of column c; as a
+# big-endian int each column is one 32-bit lane with row 0 on top.  The
+# tables below are built once at import.
+
+_SBOX_BYTES = bytes(SBOX)
+_INV_SBOX_BYTES = bytes(INV_SBOX)
+
+# state byte r + 4c; row r rotates left by r columns
+_SHIFT_ROWS = operator.itemgetter(*((b + 4 * (b % 4)) % 16 for b in range(16)))
+_INV_SHIFT_ROWS = operator.itemgetter(*((b - 4 * (b % 4)) % 16 for b in range(16)))
+
+_LANES = int.from_bytes(b"\0\0\0\1" * 4, "big")  # 1 in every column's last byte
+# rotating each lane left by k bytes: the bytes that stay in the lane, and
+# the k top bytes that wrap round to its bottom
+_ROTATE_KEEP = tuple(((0xFFFFFFFF << 8 * k) & 0xFFFFFFFF) * _LANES for k in range(4))
+_ROTATE_WRAP = tuple(((1 << 8 * k) - 1) * _LANES for k in range(4))
+
+
+def _product_tables(coeffs) -> tuple[bytes, ...]:
+    """One 256-byte table of x -> c * x per coefficient c.  gf_mul loops
+    once per bit of its second factor, so the small coefficient goes there."""
+    return tuple(bytes(gf_mul(x, c) for x in range(256)) for c in coeffs)
+
+
+_MIX_TABLES = _product_tables(MIX_COEFFS)
+_INV_MIX_TABLES = _product_tables(INV_MIX_COEFFS)
+
 
 def sub_bytes(state: bytes) -> bytes:
-    return bytes(SBOX[b] for b in state)
+    return state.translate(_SBOX_BYTES)
 
 
 def inv_sub_bytes(state: bytes) -> bytes:
-    return bytes(INV_SBOX[b] for b in state)
+    return state.translate(_INV_SBOX_BYTES)
 
 
 def shift_rows(state: bytes) -> bytes:
-    # state byte r + 4c; row r rotates left by r columns
-    return bytes(state[(b + 4 * (b % 4)) % 16] for b in range(16))
+    return bytes(_SHIFT_ROWS(state))
 
 
 def inv_shift_rows(state: bytes) -> bytes:
-    return bytes(state[(b - 4 * (b % 4)) % 16] for b in range(16))
+    return bytes(_INV_SHIFT_ROWS(state))
 
 
-def _mix_single(col: bytes, coeffs) -> bytes:
-    return bytes(
-        gf_mul(coeffs[-r % 4], col[0])
-        ^ gf_mul(coeffs[(1 - r) % 4], col[1])
-        ^ gf_mul(coeffs[(2 - r) % 4], col[2])
-        ^ gf_mul(coeffs[(3 - r) % 4], col[3])
-        for r in range(4)
-    )
+def _mix(state: bytes, tables: tuple[bytes, ...]) -> bytes:
+    """Output row r of a column is the XOR over k of coeffs[k] * row r + k:
+    the state through table k, rotated up by k rows in every column."""
+    out = int.from_bytes(state.translate(tables[0]), "big")
+    for k in (1, 2, 3):
+        product = int.from_bytes(state.translate(tables[k]), "big")
+        out ^= (product << 8 * k) & _ROTATE_KEEP[k] | (product >> 32 - 8 * k) & _ROTATE_WRAP[k]
+    return out.to_bytes(BLOCK_BYTES, "big")
 
 
 def mix_columns(state: bytes) -> bytes:
-    return b"".join(_mix_single(state[c:c + 4], MIX_COEFFS) for c in range(0, 16, 4))
+    return _mix(state, _MIX_TABLES)
 
 
 def inv_mix_columns(state: bytes) -> bytes:
-    return b"".join(_mix_single(state[c:c + 4], INV_MIX_COEFFS) for c in range(0, 16, 4))
+    return _mix(state, _INV_MIX_TABLES)
 
 
 def add_round_key(state: bytes, round_key: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(state, round_key))
+    xored = int.from_bytes(state, "big") ^ int.from_bytes(round_key, "big")
+    return xored.to_bytes(BLOCK_BYTES, "big")
 
 
 def reference_key_schedule(key: bytes) -> list[bytes]:
-    """Expand a 16-byte key into the 11 round keys (44 words)."""
+    """Expand a 16-byte key into the 11 round keys (44 words).
+
+    A round key is one 128-bit int of four 32-bit words w0..w3, w0 on top.
+    With t = SubWord(RotWord(w3)) and Rcon XORed into its top byte, the next
+    key is w0^t, w1^w0^t, w2^w1^w0^t, w3^w2^w1^w0^t: the key XORed with
+    itself shifted down by one, two and three words, and t in every word.
+    """
     if len(key) != BLOCK_BYTES:
         raise ValueError("key must be 16 bytes")
-    words = [key[4 * i:4 * i + 4] for i in range(4)]
-    for i in range(4, 44):
-        prev = words[i - 1]
-        if i % 4 == 0:
-            rotated = prev[1:] + prev[:1]
-            prev = bytes(SBOX[b] for b in rotated)
-            prev = bytes((prev[0] ^ RCON[i // 4 - 1],)) + prev[1:]
-        words.append(bytes(a ^ b for a, b in zip(words[i - 4], prev)))
-    return [b"".join(words[4 * r:4 * r + 4]) for r in range(11)]
+    keys = [bytes(key)]
+    words = int.from_bytes(key, "big")
+    for rcon in RCON:
+        last = words & 0xFFFFFFFF
+        rotated = (last << 8 | last >> 24) & 0xFFFFFFFF
+        new = int.from_bytes(rotated.to_bytes(4, "big").translate(_SBOX_BYTES), "big") ^ rcon << 24
+        words ^= words >> 32 ^ words >> 64 ^ words >> 96 ^ new * _LANES
+        keys.append(words.to_bytes(BLOCK_BYTES, "big"))
+    return keys
+
+
+def check_block(block: bytes) -> None:
+    """Raise ValueError unless ``block`` is 16 bytes long."""
+    if len(block) != BLOCK_BYTES:
+        raise ValueError(f"block must be {BLOCK_BYTES} bytes, got {len(block)}")
 
 
 def reference_encrypt(block: bytes, key: bytes) -> bytes:
@@ -180,6 +223,7 @@ def reference_decrypt(block: bytes, key: bytes) -> bytes:
 
 def reference_encrypt_trace(block: bytes, key: bytes) -> list[tuple[str, bytes]]:
     """Encrypt, recording every stage output under its trace label."""
+    check_block(block)
     keys = reference_key_schedule(key)
     trace = []
     state = add_round_key(block, keys[0])
@@ -198,6 +242,7 @@ def reference_encrypt_trace(block: bytes, key: bytes) -> list[tuple[str, bytes]]
 
 def reference_decrypt_trace(block: bytes, key: bytes) -> list[tuple[str, bytes]]:
     """Decrypt with AddRoundKey between the byte inversion and the column mix."""
+    check_block(block)
     keys = reference_key_schedule(key)
     trace = []
     state = add_round_key(block, keys[10])

@@ -215,8 +215,7 @@ def build_decryption_system() -> EquationSystem:
 def _pack_blocks(blocks: Sequence[bytes]) -> np.ndarray:
     """Bitsliced columns of 16-byte blocks: row i carries bit b_i."""
     for block in blocks:
-        if len(block) != aes.BLOCK_BYTES:
-            raise ValueError(f"block must be {aes.BLOCK_BYTES} bytes, got {len(block)}")
+        aes.check_block(block)
     raw = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(len(blocks), aes.BLOCK_BYTES)
     return pack_columns(np.unpackbits(raw, axis=1).T)
 

@@ -88,6 +88,10 @@ def test_bit_packing_round_trip():
         assert aes.mask_to_block(aes.block_to_mask(block)) == block
     # bit 0 is the most significant bit of the first byte
     assert aes.block_to_mask(bytes([0x80] + [0] * 15)) == 1
+    for i in range(128):
+        one_hot = bytes(0x80 >> i % 8 if byte == i // 8 else 0 for byte in range(16))
+        assert aes.block_to_mask(one_hot) == 1 << i
+        assert aes.mask_to_block(1 << i) == one_hot
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +135,150 @@ def test_mix_columns_known_column():
     state = bytes.fromhex("d4bf5d30") + bytes(12)
     assert aes.mix_columns(state)[:4] == bytes.fromhex("046681e5")
     assert aes.inv_mix_columns(aes.mix_columns(state)) == state
+
+
+# ---------------------------------------------------------------------------
+# the table-driven oracle against loop references kept here: one Python step
+# per byte, MixColumns through gf_mul, the key schedule on byte lists
+
+def ref_sub_bytes(state):
+    return bytes(aes.SBOX[b] for b in state)
+
+
+def ref_inv_sub_bytes(state):
+    return bytes(aes.INV_SBOX[b] for b in state)
+
+
+def ref_shift_rows(state):
+    # state byte r + 4c; row r rotates left by r columns
+    return bytes(state[(b + 4 * (b % 4)) % 16] for b in range(16))
+
+
+def ref_inv_shift_rows(state):
+    return bytes(state[(b - 4 * (b % 4)) % 16] for b in range(16))
+
+
+def _ref_mix_single(col, coeffs):
+    return bytes(
+        aes.gf_mul(coeffs[-r % 4], col[0])
+        ^ aes.gf_mul(coeffs[(1 - r) % 4], col[1])
+        ^ aes.gf_mul(coeffs[(2 - r) % 4], col[2])
+        ^ aes.gf_mul(coeffs[(3 - r) % 4], col[3])
+        for r in range(4)
+    )
+
+
+def ref_mix_columns(state):
+    return b"".join(_ref_mix_single(state[c:c + 4], aes.MIX_COEFFS) for c in range(0, 16, 4))
+
+
+def ref_inv_mix_columns(state):
+    return b"".join(_ref_mix_single(state[c:c + 4], aes.INV_MIX_COEFFS) for c in range(0, 16, 4))
+
+
+def ref_add_round_key(state, round_key):
+    return bytes(a ^ b for a, b in zip(state, round_key))
+
+
+def ref_key_schedule(key):
+    words = [key[4 * i:4 * i + 4] for i in range(4)]
+    for i in range(4, 44):
+        prev = words[i - 1]
+        if i % 4 == 0:
+            rotated = prev[1:] + prev[:1]
+            prev = bytes(aes.SBOX[b] for b in rotated)
+            prev = bytes((prev[0] ^ aes.RCON[i // 4 - 1],)) + prev[1:]
+        words.append(bytes(a ^ b for a, b in zip(words[i - 4], prev)))
+    return [b"".join(words[4 * r:4 * r + 4]) for r in range(11)]
+
+
+def ref_encrypt_trace(block, key):
+    keys = ref_key_schedule(key)
+    trace = []
+    state = ref_add_round_key(block, keys[0])
+    trace.append(("addRoundKey0", state))
+    for r in range(9):
+        state = ref_mix_columns(ref_shift_rows(ref_sub_bytes(state)))
+        trace.append((f"Round{r}", state))
+        state = ref_add_round_key(state, keys[r + 1])
+        trace.append((f"addRoundKey{r + 1}", state))
+    state = ref_shift_rows(ref_sub_bytes(state))
+    trace.append(("Round9", state))
+    state = ref_add_round_key(state, keys[10])
+    trace.append(("addRoundKey10", state))
+    return trace
+
+
+def ref_decrypt_trace(block, key):
+    keys = ref_key_schedule(key)
+    trace = []
+    state = ref_add_round_key(block, keys[10])
+    trace.append(("addRoundKey10", state))
+    for r in range(9, 0, -1):
+        state = ref_inv_sub_bytes(ref_inv_shift_rows(state))
+        trace.append((f"Round{r}", state))
+        state = ref_add_round_key(state, keys[r])
+        trace.append((f"addRoundKey{r}", state))
+        state = ref_inv_mix_columns(state)
+        trace.append((f"invMixColumns{r}", state))
+    state = ref_inv_sub_bytes(ref_inv_shift_rows(state))
+    trace.append(("Round0", state))
+    state = ref_add_round_key(state, keys[0])
+    trace.append(("addRoundKey0", state))
+    return trace
+
+
+ORACLE_STATES = random_states(2000, 21) + [bytes(16), b"\xff" * 16]
+
+
+@pytest.mark.parametrize("name, reference", [
+    ("sub_bytes", ref_sub_bytes),
+    ("inv_sub_bytes", ref_inv_sub_bytes),
+    ("shift_rows", ref_shift_rows),
+    ("inv_shift_rows", ref_inv_shift_rows),
+    ("mix_columns", ref_mix_columns),
+    ("inv_mix_columns", ref_inv_mix_columns),
+])
+def test_primitive_matches_loop_reference(name, reference):
+    primitive = getattr(aes, name)
+    for state in ORACLE_STATES:
+        assert primitive(state) == reference(state)
+
+
+def test_add_round_key_matches_loop_reference():
+    round_keys = random_states(2000, 22) + [b"\xff" * 16, bytes(16)]
+    for state, round_key in zip(ORACLE_STATES, round_keys):
+        assert aes.add_round_key(state, round_key) == ref_add_round_key(state, round_key)
+    for state in ORACLE_STATES[-2:]:
+        for round_key in ORACLE_STATES[-2:]:
+            assert aes.add_round_key(state, round_key) == ref_add_round_key(state, round_key)
+
+
+def test_product_tables_match_gf_mul():
+    for coeffs, tables in ((aes.MIX_COEFFS, aes._MIX_TABLES),
+                           (aes.INV_MIX_COEFFS, aes._INV_MIX_TABLES)):
+        assert len(tables) == len(coeffs) == 4
+        for coeff, table in zip(coeffs, tables):
+            assert table == bytes(aes.gf_mul(coeff, x) for x in range(256))
+
+
+def test_key_schedule_and_traces_match_loop_references():
+    rng = random.Random(23)
+    pairs = [(rng.randbytes(16), rng.randbytes(16)) for _ in range(1000)]
+    pairs += [(bytes(16), bytes(16)), (b"\xff" * 16, b"\xff" * 16), (FIPS_PLAIN, FIPS_KEY)]
+    for block, key in pairs:
+        assert aes.reference_key_schedule(key) == ref_key_schedule(key)
+        assert aes.reference_encrypt_trace(block, key) == ref_encrypt_trace(block, key)
+        assert aes.reference_decrypt_trace(block, key) == ref_decrypt_trace(block, key)
+
+
+@pytest.mark.parametrize("length", [0, 15, 17])
+@pytest.mark.parametrize("trace", [aes.reference_encrypt_trace, aes.reference_decrypt_trace,
+                                   aes.reference_encrypt, aes.reference_decrypt])
+def test_wrong_length_block_is_rejected(trace, length):
+    with pytest.raises(ValueError) as excinfo:
+        trace(bytes(length), FIPS_KEY)
+    assert str(excinfo.value) == f"block must be 16 bytes, got {length}"
 
 
 # ---------------------------------------------------------------------------
