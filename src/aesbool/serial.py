@@ -28,7 +28,9 @@ here, and the reader inverts the writer: it takes only the direction and
 the stage labels from the manifest, which must equal their rendering byte
 for byte.  Equation lines must end in a line feed; in any order they still
 XOR together.  A tree is written under a temporary name and moved into
-place once complete.
+place once complete.  Every file is written and read through a raw
+descriptor (``os.open``/``os.write``/``os.read``), with no file object
+around it, since the tree is thousands of small files.
 """
 
 from __future__ import annotations
@@ -69,8 +71,12 @@ def _stage_dirname(index: int, trace_label: str) -> str:
     return f"{index:02d}_{trace_label}"
 
 
-def _bit_filename(bit: int) -> str:
-    return f"bit_{bit:03d}.eq"
+_BIT_FILENAMES = tuple(f"bit_{bit:03d}.eq" for bit in range(128))
+
+# O_BINARY exists only on Windows, where it keeps a line feed from becoming CRLF
+_O_BINARY = getattr(os, "O_BINARY", 0)
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _O_BINARY
+_READ_FLAGS = os.O_RDONLY | _O_BINARY
 
 
 def render_manifest(direction: str, stages: list[tuple[str, str]]) -> str:
@@ -106,7 +112,8 @@ def _parse_equation(data: bytes, width: int, source) -> Anf:
     ends = np.flatnonzero(chars == _LF)
     if data and chars[-1] != _LF:
         raise ParseError(f"{source}:{len(ends) + 1}: last line has no line feed")
-    lengths = np.diff(ends, prepend=-1) - 1
+    lengths = ends.copy()
+    lengths[1:] -= ends[:-1] + 1
     wrong = np.flatnonzero(lengths != width + 1)
     count = int(wrong[0]) if len(wrong) else len(ends)
     digits = chars[:count * (width + 2)].reshape(count, width + 2)[:, :-1] - _ZERO
@@ -145,6 +152,17 @@ def _render_stage(stage: Stage) -> list[bytes]:
     return [_render_equation(eq) for eq in stage.equations]
 
 
+def _write_bytes(path, data: bytes) -> None:
+    # mode 0o666 as open() uses: os.open's default 0o777 makes files executable
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:   # a write may take fewer bytes than it was given
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
 def write_system(system: EquationSystem, dest) -> Path:
     """Write every stage of ``system`` under dest/AES_files_<direction>/.
 
@@ -174,13 +192,12 @@ def write_system(system: EquationSystem, dest) -> Path:
             if stage.equations not in rendered_cache:
                 rendered_cache[stage.equations] = _render_stage(stage)
             prefix = os.path.join(stage_dir, "")
-            for bit, body in enumerate(rendered_cache[stage.equations]):
-                with open(prefix + _bit_filename(bit), "wb") as f:
-                    f.write(body)
-        (tree / END_NAME).write_bytes(b"")
+            for name, body in zip(_BIT_FILENAMES, rendered_cache[stage.equations]):
+                _write_bytes(prefix + name, body)
+        _write_bytes(tree / END_NAME, b"")
         manifest = render_manifest(
             system.direction, [(st.trace_label, st.kind) for st in system.stages])
-        (tree / MANIFEST_NAME).write_bytes(manifest.encode("ascii"))
+        _write_bytes(tree / MANIFEST_NAME, manifest.encode("ascii"))
         if root.exists():
             shutil.rmtree(root)
         os.replace(tree, root)
@@ -191,8 +208,16 @@ def write_system(system: EquationSystem, dest) -> Path:
 
 def _read_bytes(path, missing: str) -> bytes:
     try:
-        with open(path, "rb") as f:
-            return f.read()
+        fd = os.open(path, _READ_FLAGS)
+        try:
+            # fstat sizes the reads, which go on to end of file; on a directory os.read fails
+            size = os.fstat(fd).st_size
+            chunks = []
+            while chunk := os.read(fd, size + 1):
+                chunks.append(chunk)
+            return b"".join(chunks)
+        finally:
+            os.close(fd)
     except FileNotFoundError:
         raise ParseError(f"{path}: {missing}") from None
     except OSError as exc:
@@ -258,8 +283,8 @@ def read_system(path) -> EquationSystem:
         width = STAGE_KINDS[kind].space.width
         prefix = os.path.join(root / _stage_dirname(index, label), "")
         equations = []
-        for bit in range(128):
-            eq_path = prefix + _bit_filename(bit)
+        for bit, name in enumerate(_BIT_FILENAMES):
+            eq_path = prefix + name
             data = _read_bytes(eq_path, "missing equation file")
             known = parsed.setdefault((kind, bit), [])
             eq = next((anf for seen, anf in known if seen == data), None)

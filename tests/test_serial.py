@@ -1,5 +1,8 @@
 import hashlib
+import os
 import random
+import shutil
+import stat
 from pathlib import Path
 
 import pytest
@@ -216,19 +219,31 @@ def _directory(path):
     path.mkdir()
 
 
-@pytest.mark.parametrize("damage, problem", [
-    (_non_ascii, "non-ASCII byte at offset 0"),
-    (_directory, "cannot read: Is a directory"),
-    (Path.unlink, "missing equation file"),
-], ids=["non-ascii", "directory", "missing"])
-def test_read_errors_name_the_file_as_given(tmp_path, monkeypatch, damage, problem):
+def _stage_missing(path):
+    shutil.rmtree(path.parent)
+
+
+def _stage_is_a_file(path):
+    shutil.rmtree(path.parent)
+    path.parent.write_bytes(b"")
+
+
+@pytest.mark.parametrize("damage, name, problem", [
+    (_non_ascii, "bit_005.eq", "non-ASCII byte at offset 0"),
+    (_directory, "bit_005.eq", "cannot read: Is a directory"),
+    (Path.unlink, "bit_005.eq", "missing equation file"),
+    (_stage_missing, "bit_000.eq", "missing equation file"),
+    (_stage_is_a_file, "bit_000.eq", "cannot read: Not a directory"),
+], ids=["non-ascii", "directory", "missing", "missing-stage", "stage-is-a-file"])
+def test_read_errors_name_the_file_as_given(tmp_path, monkeypatch, damage, name, problem):
+    # damage is done to bit_005.eq or to its stage directory, 01_Round0
     write_system(_two_stage_system(), tmp_path)
     monkeypatch.chdir(tmp_path / "AES_files_enc")
     damage(tmp_path / "AES_files_enc" / "01_Round0" / "bit_005.eq")
     for root in (".", "../AES_files_enc/", tmp_path / "AES_files_enc"):
         with pytest.raises(ParseError) as got:
             read_system(root)
-        assert str(got.value) == f"{Path(root) / '01_Round0' / 'bit_005.eq'}: {problem}"
+        assert str(got.value) == f"{Path(root) / '01_Round0' / name}: {problem}"
 
 
 def test_round_trip_dec(written, dec_system):
@@ -381,6 +396,108 @@ def test_interrupted_write_leaves_nothing_behind(tmp_path, monkeypatch):
     write_system(system, tmp_path / "clean")
     assert [p.name for p in out.iterdir()] == ["AES_files_enc"]
     assert tree_digest(out / "AES_files_enc") == tree_digest(tmp_path / "clean" / "AES_files_enc")
+
+
+def test_short_writes_still_write_every_byte(tmp_path, monkeypatch):
+    write_system(_two_stage_system(), tmp_path / "whole")
+    write = os.write
+    calls = []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return write(fd, data[:7])
+
+    monkeypatch.setattr(serial_mod.os, "write", short_write)
+    write_system(_two_stage_system(), tmp_path / "short")
+    monkeypatch.undo()
+    assert max(calls) > 7
+    assert tree_digest(tmp_path / "short" / "AES_files_enc") == \
+        tree_digest(tmp_path / "whole" / "AES_files_enc")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+def test_written_files_have_the_permissions_of_open(tmp_path):
+    write_system(_two_stage_system(), tmp_path)
+    with open(tmp_path / "reference", "wb"):
+        pass
+    umask = os.umask(0)
+    os.umask(umask)
+    expected = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    assert expected == 0o666 & ~umask
+    files = [p for p in (tmp_path / "AES_files_enc").rglob("*") if p.is_file()]
+    assert len(files) == 2 * 128 + 2
+    assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {expected}
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _interrupt_rendering(monkeypatch):
+    render = serial_mod._render_stage
+
+    def interrupt(stage):
+        if stage.kind == "Round":
+            raise KeyboardInterrupt
+        return render(stage)
+
+    monkeypatch.setattr(serial_mod, "_render_stage", interrupt)
+
+
+def _interrupt_a_file(monkeypatch):
+    # the 10th write: bit_009.eq of the AddRoundKey stage, left half written
+    write = os.write
+    calls = []
+
+    def interrupt(fd, data):
+        calls.append(fd)
+        if len(calls) == 10:
+            write(fd, data[:len(data) // 2])
+            raise KeyboardInterrupt
+        return write(fd, data)
+
+    monkeypatch.setattr(serial_mod.os, "write", interrupt)
+
+
+def _write_again(root, monkeypatch):
+    write_system(_two_stage_system(), root.parent / "again")
+
+
+def _read_back(root, monkeypatch):
+    assert read_system(root) == _two_stage_system()
+
+
+def _read_damaged(damage):
+    def read(root, monkeypatch):
+        damage(root / "01_Round0" / "bit_005.eq")
+        with pytest.raises(ParseError, match="bit_005"):
+            read_system(root)
+    return read
+
+
+def _write_interrupted(interrupt):
+    def write(root, monkeypatch):
+        interrupt(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            write_system(_two_stage_system(), root.parent / "again")
+    return write
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("action", [
+    _write_again,
+    _read_back,
+    _read_damaged(_non_ascii),
+    _read_damaged(_directory),
+    _write_interrupted(_interrupt_rendering),
+    _write_interrupted(_interrupt_a_file),
+], ids=["write", "read", "read-damaged-file", "read-directory-as-file",
+        "write-interrupted-between-stages", "write-interrupted-in-a-file"])
+def test_no_descriptor_stays_open(tmp_path, monkeypatch, action):
+    write_system(_two_stage_system(), tmp_path)
+    before = _open_descriptors()
+    action(tmp_path / "AES_files_enc", monkeypatch)
+    assert _open_descriptors() == before
 
 
 def test_interrupted_rewrite_keeps_the_previous_tree(tmp_path, monkeypatch):
