@@ -17,6 +17,11 @@ is an unordered frozenset.
 Whole masks are the unit of work wherever a layout allows it: renaming by
 an offset shifts each mask, and ``from_bit_rows`` builds each mask from
 its row's ``uint64`` words.
+
+Evaluation at one point x uses the identity the Moebius transform rests
+on, f(x) = XOR of a_u over u within x: ``evaluate_mask`` looks up the
+subsets of x in the term set or scans the T terms, whichever is fewer, so
+a point costs min(T, 2^|x|).
 """
 
 from __future__ import annotations
@@ -316,10 +321,12 @@ class Anf:
 
     def evaluate(self, assignment: Sequence[int]) -> int:
         """Evaluate at a bit sequence covering every used variable."""
-        used = self.variables()
-        if used and max(used) >= len(assignment):
-            raise ValueError(
-                f"assignment of length {len(assignment)} does not cover variable {max(used)}")
+        # one at least as long as the space covers every variable: no term scan
+        if len(assignment) < self.width:
+            last = self._used_mask().bit_length() - 1
+            if last >= len(assignment):
+                raise ValueError(
+                    f"assignment of length {len(assignment)} does not cover variable {last}")
         ones = 0
         for i, bit in enumerate(assignment):
             if bit:
@@ -327,9 +334,26 @@ class Anf:
         return self.evaluate_mask(ones)
 
     def evaluate_mask(self, ones: int) -> int:
-        """Evaluate at an assignment packed as an int (bit i = x_i)."""
+        """Evaluate at an assignment packed as an int (bit i = x_i).
+
+        f(x) = XOR of the coefficients a_u over the monomials u within x,
+        the Moebius transform read backwards, so the cost is
+        min(T, 2^|x|) for T terms: the walk over the 2^|x| subsets of x
+        when that is shorter, else the scan over the terms.  Bits at or
+        above the width meet no term; a negative ``ones`` sets them all.
+        """
+        ones &= (1 << self.width) - 1
+        terms = self.terms
+        if 1 << ones.bit_count() < len(terms):
+            acc = 0
+            sub = ones
+            while True:
+                acc ^= sub in terms
+                if not sub:
+                    return acc
+                sub = (sub - 1) & ones
         acc = 0
-        for m in self.terms:
+        for m in terms:
             if m & ones == m:
                 acc ^= 1
         return acc

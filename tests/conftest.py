@@ -2,9 +2,16 @@ import contextlib
 import io
 
 import pytest
+from hypothesis import settings
 
 from aesbool import cli
 from aesbool import system as system_mod
+
+# Property tests replay the same examples on every run (no example database,
+# no random seed), and few enough of them to keep the suite within seconds.
+settings.register_profile("aesbool", derandomize=True, database=None,
+                          max_examples=60, deadline=None)
+settings.load_profile("aesbool")
 
 FIPS_PLAIN = "00112233445566778899aabbccddeeff"
 FIPS_KEY = "000102030405060708090a0b0c0d0e0f"

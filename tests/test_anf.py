@@ -2,9 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from aesbool.anf import Anf, Kernel, TermLimitError, VarSpace, batch_evaluate
-from aesbool.boolfn import truth_table_from_anf
+from aesbool.anf import (Anf, Kernel, TermLimitError, VarSpace, batch_evaluate,
+                         pack_columns, unpack_columns)
+from aesbool.boolfn import TruthTable, anf_from_truth_table, truth_table_from_anf
 
 
 def random_anf(width, rng, max_terms=12):
@@ -316,6 +319,151 @@ def test_rename_permuted_evaluation():
 
 
 # ---------------------------------------------------------------------------
+# point evaluation
+
+def _scan_evaluate(anf, ones):
+    """The term scan evaluate_mask ran on every point before the subset
+    walk, kept as the reference: the parity of the terms within ``ones``."""
+    acc = 0
+    for m in anf.terms:
+        if m & ones == m:
+            acc ^= 1
+    return acc
+
+
+def _subsets(ones):
+    sub, out = ones, [ones]
+    while sub:
+        sub = (sub - 1) & ones
+        out.append(sub)
+    return out
+
+
+def _sparse_point(width, bits, rng):
+    return sum(1 << v for v in rng.sample(range(width), min(bits, width)))
+
+
+def _terms_near(width, ones, count, rng):
+    """``count`` distinct masks of the space, many of them within ``ones``."""
+    inside = _subsets(ones)
+    rng.shuffle(inside)
+    terms = set(inside[:rng.randint(min(count, len(inside)) // 2, min(count, len(inside)))])
+    while len(terms) < count:
+        terms.add(rng.getrandbits(width))
+    return terms
+
+
+def _rows_of(arity):
+    """Each truth-table row's assignment mask (x_0 is the row's top bit)."""
+    return [int(format(row, f"0{arity}b")[::-1], 2) for row in range(1 << arity)]
+
+
+@pytest.mark.parametrize("width", [0, 1, 8, 20, 64, 128, 256])
+def test_evaluate_mask_matches_the_term_scan(width):
+    rng = random.Random(width)
+    full = (1 << width) - 1
+    anfs = [Anf.zero(width), Anf.one(width)]
+    anfs += [Anf(width, [rng.getrandbits(width)]) for _ in range(4)]
+    anfs += [Anf(width, [full]), Anf(width, [1 << (width - 1)] if width else [])]
+    anfs += [random_anf(width, rng, max_terms=40) for _ in range(6)]
+    points = [0, full, -1, full + 1, -1 << width, rng.getrandbits(width + 8)]
+    points += [rng.getrandbits(width) for _ in range(4)]
+    points += [_sparse_point(width, bits, rng) for bits in range(7)]
+    points += [p | rng.getrandbits(16) << width for p in points[-7:]]
+    for anf in anfs:
+        for ones in points:
+            assert anf.evaluate_mask(ones) == _scan_evaluate(anf, ones), (anf.terms, ones)
+    # term counts either side of the 2^|x| subsets the walk would visit
+    for ones in points:
+        size = 1 << (ones & full).bit_count()
+        for count in (size - 1, size, size + 1):
+            if not 0 <= count <= 1 << min(width, 16):
+                continue
+            for _ in range(3):
+                anf = Anf(width, _terms_near(width, ones & full, count, rng))
+                assert anf.term_count() == count
+                assert anf.evaluate_mask(ones) == _scan_evaluate(anf, ones), (anf.terms, ones)
+
+
+@pytest.mark.parametrize("arity", [8, 10, 12, 14, 16])
+def test_evaluate_mask_matches_the_truth_table_on_dense_anfs(arity):
+    rng = np.random.default_rng(arity)
+    bits = rng.integers(0, 2, size=1 << arity, dtype=np.uint8)
+    anf = anf_from_truth_table(TruthTable(arity, bits))
+    assert anf.term_count() > 1 << (arity - 2)
+    table = truth_table_from_anf(anf, arity).bits
+    assert (table == bits).all()
+    rows = range(1 << arity)
+    if arity == 16:
+        # every row takes about 5 s here: the rows where the scan is no
+        # longer than the walk, the sparsest rows and a seeded sample
+        rows = sorted({*(row for row in rows if row.bit_count() in (0, 1, 15, 16)),
+                       *rng.integers(0, 1 << arity, size=4096).tolist()})
+    masks = _rows_of(arity)
+    for row in rows:
+        assert anf.evaluate_mask(masks[row]) == table[row], row
+
+
+class _CountedTerms(frozenset):
+    """A term set that counts membership tests and iterated terms, failing
+    once they pass ``budget``, so that a walk that never ends fails too."""
+
+    def _spend(self):
+        self.cost += 1
+        if self.cost > self.budget:
+            raise AssertionError(f"more than {self.budget} term lookups")
+
+    def __contains__(self, mask):
+        self._spend()
+        return super().__contains__(mask)
+
+    def __iter__(self):
+        for mask in super().__iter__():
+            self._spend()
+            yield mask
+
+
+def _counted(width, terms, budget):
+    counted = _CountedTerms(terms)
+    counted.cost, counted.budget = 0, budget
+    return Anf(width, _terms=counted)
+
+
+def test_evaluate_mask_costs_the_fewer_of_terms_and_subsets():
+    rng = random.Random(11)
+    dense = anf_from_truth_table(TruthTable(12, np.random.default_rng(11).integers(
+        0, 2, size=1 << 12, dtype=np.uint8)))
+    full = (1 << 12) - 1
+    for ones in (0, 1, 0b1011, full, -1, full + 1, -1 << 12, 0b101 | 1 << 40,
+                 *(rng.getrandbits(12) for _ in range(20))):
+        clipped = ones & full
+        cost = min(dense.term_count(), 1 << clipped.bit_count())
+        counted = _counted(12, dense.terms, cost)
+        assert counted.evaluate_mask(ones) == _scan_evaluate(dense, ones), ones
+        assert counted.terms.cost == cost, ones
+    # a sparse equation of a wide space: a handful of terms, many set bits
+    sparse = _counted(128, [0, 1 << 127, 3 << 60], 3)
+    assert sparse.evaluate_mask(-1) == 1
+    assert sparse.terms.cost == 3
+
+
+def test_evaluate_checks_coverage_only_when_the_assignment_is_short():
+    anf = Anf.from_terms(8, [(0, 1), (5,)])
+    with pytest.raises(ValueError, match=r"^assignment of length 5 does not cover variable 5$"):
+        anf.evaluate((1, 1, 0, 0, 0))
+    assert anf.evaluate((1, 1, 0, 0, 0, 0)) == 1
+    assert anf.evaluate((1, 1, 0, 0, 0, 1, 0, 0, 1, 1)) == 0
+    assert Anf.one(8).evaluate(()) == 1
+    # a full assignment walks the point's subsets and never scans the terms
+    dense = anf_from_truth_table(TruthTable(12, np.random.default_rng(12).integers(
+        0, 2, size=1 << 12, dtype=np.uint8)))
+    x = (1, 0, 1, 1) + (0,) * 8
+    counted = _counted(12, dense.terms, 8)
+    assert counted.evaluate(x) == _scan_evaluate(dense, 0b1101)
+    assert counted.terms.cost == 8
+
+
+# ---------------------------------------------------------------------------
 # equality and batch evaluation
 
 def test_equality_is_term_set_equality():
@@ -365,3 +513,48 @@ def test_kernel_rejects_wrong_column_count():
 
 def test_batch_evaluate_empty():
     assert batch_evaluate([Anf.one(4)], []) == []
+
+
+# ---------------------------------------------------------------------------
+# properties (the derandomized profile in conftest.py bounds the examples)
+
+@st.composite
+def anfs_and_points(draw):
+    """An ANF and a point in or beyond its space; many terms lie within the
+    point, and sparse points make the subset walk the shorter path."""
+    width = draw(st.integers(0, 24))
+    sparse = st.sets(st.integers(0, width + 2), max_size=5).map(lambda vs: sum(1 << v for v in vs))
+    ones = draw(st.one_of(sparse, sparse.map(lambda m: -m),
+                          st.integers(-(1 << (width + 2)), 1 << (width + 2))))
+    inside, outside = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    rng = draw(st.randoms(use_true_random=False))
+    return Anf(width, [*(rng.getrandbits(width) & ones for _ in range(inside)),
+                       *(rng.getrandbits(width) for _ in range(outside))]), ones
+
+
+@given(anfs_and_points())
+def test_property_evaluate_mask_is_the_term_scan(case):
+    anf, ones = case
+    assert anf.evaluate_mask(ones) == _scan_evaluate(anf, ones)
+
+
+@st.composite
+def kernel_batches(draw):
+    width = draw(st.integers(0, 70))
+    full = (1 << width) - 1
+    equations = draw(st.lists(
+        st.lists(st.integers(0, full), max_size=20).map(lambda terms: Anf(width, terms)),
+        min_size=1, max_size=4))
+    n = draw(st.one_of(st.integers(1, 3), st.integers(62, 66), st.integers(126, 130)))
+    inputs = draw(st.lists(st.integers(0, full), min_size=n, max_size=n))
+    return equations, inputs
+
+
+@given(kernel_batches())
+def test_property_kernel_agrees_with_evaluate_mask(case):
+    equations, inputs = case
+    width = equations[0].width
+    bits = np.array([[x >> v & 1 for x in inputs] for v in range(width)],
+                    dtype=np.uint8).reshape(width, len(inputs))
+    out = unpack_columns(Kernel(equations)(pack_columns(bits)), len(inputs))
+    assert out.tolist() == [[eq.evaluate_mask(x) for x in inputs] for eq in equations]
