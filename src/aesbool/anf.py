@@ -14,9 +14,11 @@ variable 0 in the most significant position.  Printing (``mask_strings``,
 use it.  It is materialized only when needed; the working representation
 is an unordered frozenset.
 
-Whole masks are the unit of work wherever a layout allows it: renaming by
-an offset shifts each mask, and ``from_bit_rows`` builds each mask from
-its row's ``uint64`` words.
+Whole masks are the unit of work wherever a layout allows it: renaming
+groups the used variables by the distance each one moves and shifts the
+masks' bits of a group at once (an offset is one group, so it shifts each
+mask whole), and ``from_bit_rows`` builds each mask from its row's
+``uint64`` words.
 
 Evaluation at one point x uses the identity the Moebius transform rests
 on, f(x) = XOR of a_u over u within x: ``evaluate_mask`` looks up the
@@ -277,9 +279,16 @@ class Anf:
             raise ValueError("bindings span different variable spaces")
         target = widths.pop() if widths else self.width
         acc: set[int] = set()
-        prod_cache: dict[int, Anf] = {0: Anf.one(target)}
         for mask in self.terms:
-            acc ^= _substituted_product(mask, bindings, prod_cache, max_terms).terms
+            # a linear monomial is its one binding, with no product taken
+            prod = None
+            for v in _vars_from_mask(mask):
+                try:
+                    g = bindings[v]
+                except KeyError:
+                    raise ValueError(f"variable {v} is unbound in substitution") from None
+                prod = g if prod is None else prod.multiply(g, max_terms)
+            acc ^= {0} if prod is None else prod.terms
             if len(acc) > max_terms:
                 raise TermLimitError(f"substitution exceeds {max_terms} terms")
         return Anf(target, _terms=frozenset(acc))
@@ -287,35 +296,38 @@ class Anf:
     def rename(self, mapping, width: int | None = None) -> "Anf":
         """Injectively remap variable indices.
 
-        ``mapping`` is an int offset, a sequence indexed by old variable, or
-        a mapping {old: new}.  ``width`` sets the target space (defaults to
-        the current width).  An offset shifts every mask at once.
+        ``mapping`` is an int offset k (variable v goes to v + k), a sequence
+        indexed by old variable, or a mapping {old: new}.  ``width`` sets the
+        target space (defaults to the current width).  The used variables
+        are grouped by their distance, image minus index: each mask becomes
+        the OR over the groups of its bits in the group, shifted by that
+        group's distance.  An offset is one group and shifts whole masks.
         """
         new_width = self.width if width is None else width
+        used = _vars_from_mask(self._used_mask())
         if isinstance(mapping, int):
-            used = self._used_mask()
-            if used:
-                # the images of the lowest and the highest used variable
-                for img in ((used & -used).bit_length() - 1 + mapping,
-                            used.bit_length() - 1 + mapping):
-                    if not 0 <= img < new_width:
-                        raise ValueError(
-                            f"renamed index {img} outside space of width {new_width}")
-            if mapping >= 0:
-                terms = frozenset(map(operator.lshift, self.terms, repeat(mapping)))
-            else:
-                terms = frozenset(map(operator.rshift, self.terms, repeat(-mapping)))
-            return Anf(new_width, _terms=terms)
-        table = {v: mapping[v] for v in self.variables()}
-        images = set(table.values())
-        if len(images) != len(table):
+            table = {v: v + mapping for v in used}
+        else:
+            table = {v: mapping[v] for v in used}
+        if len(set(table.values())) != len(table):
             raise ValueError("rename mapping is not injective")
-        for img in images:
-            if not 0 <= img < new_width:
-                raise ValueError(f"renamed index {img} outside space of width {new_width}")
-        return Anf(new_width, _terms=frozenset(
-            _mask_from_vars((table[v] for v in _vars_from_mask(m)), new_width)
-            for m in self.terms))
+        terms = self.terms
+        if table:
+            low, high = min(table.values()), max(table.values())
+            if low < 0 or high >= new_width:
+                raise ValueError(f"renamed index {low if low < 0 else high}"
+                                 f" outside space of width {new_width}")
+            groups: dict[int, int] = {}
+            for v, img in table.items():
+                groups[img - v] = groups.get(img - v, 0) | 1 << v
+            masks = None
+            for distance, group in groups.items():
+                part = terms if len(groups) == 1 else map(operator.and_, terms, repeat(group))
+                part = (map(operator.lshift, part, repeat(distance)) if distance >= 0
+                        else map(operator.rshift, part, repeat(-distance)))
+                masks = part if masks is None else map(operator.or_, masks, part)
+            terms = masks
+        return Anf(new_width, _terms=frozenset(terms))
 
     # -- evaluation --------------------------------------------------------
 
@@ -383,24 +395,6 @@ class Anf:
         return " + ".join("".join(f"x{v}" for v in mono) or "1" for mono in self.monomials())
 
     __str__ = to_str
-
-
-def _substituted_product(mask: int, bindings: Mapping[int, Anf],
-                         cache: dict[int, Anf], max_terms: int) -> Anf:
-    """Product of the bindings of the variables of a non-constant ``mask``
-    (the constant monomial is seeded in ``cache``)."""
-    if mask in cache:
-        return cache[mask]
-    prod = None
-    for v in _vars_from_mask(mask):
-        try:
-            g = bindings[v]
-        except KeyError:
-            raise ValueError(f"variable {v} is unbound in substitution") from None
-        # a linear monomial is its one binding, with no product taken
-        prod = g if prod is None else prod.multiply(g, max_terms)
-    cache[mask] = prod
-    return prod
 
 
 def pack_columns(bits: np.ndarray) -> np.ndarray:

@@ -98,9 +98,10 @@ def truth_table_from_anf(anf: Anf, arity: int) -> TruthTable:
     """Evaluate an ANF on all 2^n inputs: the transform of its coefficients."""
     if not 1 <= arity <= MAX_ARITY:
         raise ValueError(f"arity must be in 1..{MAX_ARITY}, got {arity}")
-    used = anf.variables()
-    if used and max(used) >= arity:
-        raise ValueError(f"ANF uses variable {max(used)}, outside arity {arity}")
+    # the largest mask holds the highest variable; a space within the arity holds none beyond
+    if anf.width > arity and anf.terms and max(anf.terms) >> arity:
+        raise ValueError(f"ANF uses variable {max(anf.terms).bit_length() - 1},"
+                         f" outside arity {arity}")
     coefficients = np.zeros(1 << arity, dtype=np.uint8)
     coefficients[np.fromiter(anf.terms, dtype=np.intp, count=len(anf.terms))] = 1
     return mobius_transform(TruthTable(arity, _reverse_variables(coefficients, arity)))

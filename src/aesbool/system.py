@@ -29,33 +29,41 @@ class StageKind(NamedTuple):
     space: VarSpace
     gen_label: str          # progress line printed while generating files
     trace_label: str        # line printed while evaluating, and the directory name
-    directions: tuple[str, ...]   # systems the kind appears in
 
 
 # The one table of stage kinds; the constants below name its keys in order.
 STAGE_KINDS = {
-    "AddRoundKey": StageKind(ARK_SPACE, "AddRoundKey{}", "addRoundKey{}", ("enc", "dec")),
-    "Round": StageKind(STATE_SPACE, "Round{}", "Round{}", ("enc",)),
-    "FinalRound": StageKind(STATE_SPACE, "Round{}", "Round{}", ("enc",)),
-    "InvRound": StageKind(STATE_SPACE, "Round {}", "Round{}", ("dec",)),
-    "InvMixColumns": StageKind(STATE_SPACE, "InvMixColumns {}", "invMixColumns{}", ("dec",)),
+    "AddRoundKey": StageKind(ARK_SPACE, "AddRoundKey{}", "addRoundKey{}"),
+    "Round": StageKind(STATE_SPACE, "Round{}", "Round{}"),
+    "FinalRound": StageKind(STATE_SPACE, "Round{}", "Round{}"),
+    "InvRound": StageKind(STATE_SPACE, "Round {}", "Round{}"),
+    "InvMixColumns": StageKind(STATE_SPACE, "InvMixColumns {}", "invMixColumns{}"),
 }
 ADD_ROUND_KEY, ROUND, FINAL_ROUND, INV_ROUND, INV_MIX_COLUMNS = STAGE_KINDS
-DIRECTIONS = ("enc", "dec")
 
 _ROUND_KINDS = (ROUND, FINAL_ROUND, INV_ROUND)
 ROUND_INDICES = range(11)   # AES-128 rounds 0..10
 
-# Reverse lookup (direction, trace label) -> (kind, round index).  Round and
-# FinalRound share the trace label "Round<r>"; the encryption chain's only
-# final round is Round9.
-TRACE_LABELS: dict[tuple[str, str], tuple[str, int]] = {
-    (direction, spec.trace_label.format(r)): (kind, r)
-    for kind, spec in STAGE_KINDS.items() if kind != FINAL_ROUND
-    for direction in spec.directions
-    for r in ROUND_INDICES
+# The one table of stage orders: each system's (kind, round index) stages.
+# Round9 of encryption has no column mix; each decryption round adds its key
+# between the byte inversion and the standalone inverse column mix.
+SCHEDULES: dict[str, tuple[tuple[str, int], ...]] = {
+    "enc": ((ADD_ROUND_KEY, 0),
+            *(stage for r in range(9) for stage in ((ROUND, r), (ADD_ROUND_KEY, r + 1))),
+            (FINAL_ROUND, 9), (ADD_ROUND_KEY, 10)),
+    "dec": ((ADD_ROUND_KEY, 10),
+            *((kind, r) for r in range(9, 0, -1)
+              for kind in (INV_ROUND, ADD_ROUND_KEY, INV_MIX_COLUMNS)),
+            (INV_ROUND, 0), (ADD_ROUND_KEY, 0)),
 }
-TRACE_LABELS["enc", "Round9"] = (FINAL_ROUND, 9)
+DIRECTIONS = tuple(SCHEDULES)
+
+# Reverse lookup (direction, trace label) -> (kind, round index) of every
+# scheduled stage.  Round and FinalRound share the trace label "Round<r>".
+TRACE_LABELS: dict[tuple[str, str], tuple[str, int]] = {
+    (direction, STAGE_KINDS[kind].trace_label.format(r)): (kind, r)
+    for direction, schedule in SCHEDULES.items() for kind, r in schedule
+}
 
 
 @dataclass(frozen=True)
@@ -178,38 +186,30 @@ def _inv_round_equations() -> tuple[Anf, ...]:
                  for i in range(aes.BLOCK_BITS))
 
 
+def _scheduled_system(direction: str, equations: dict[str, tuple[Anf, ...]]) -> EquationSystem:
+    """The system of ``SCHEDULES[direction]``; every stage of a kind shares
+    that kind's equations."""
+    return EquationSystem(direction, tuple(
+        Stage(kind, r, equations[kind]) for kind, r in SCHEDULES[direction]))
+
+
 def build_encryption_system() -> EquationSystem:
-    """AddRoundKey0, Round0..Round8, AddRoundKey9, Round9 (no column mix),
-    AddRoundKey10 -- with each AddRoundKey introducing a fresh key set."""
-    ark = tuple(aes.addroundkey_equations(ARK_SPACE))
+    """The 21 encryption stages, each AddRoundKey introducing a fresh key set."""
     sb = aes.subbytes_equations(STATE_SPACE)
-    round_eqs = _composed_round_equations(sb)
-    final_eqs = _final_round_equations(sb)
-    stages = [Stage(ADD_ROUND_KEY, 0, ark)]
-    for r in range(9):
-        stages.append(Stage(ROUND, r, round_eqs))
-        stages.append(Stage(ADD_ROUND_KEY, r + 1, ark))
-    stages.append(Stage(FINAL_ROUND, 9, final_eqs))
-    stages.append(Stage(ADD_ROUND_KEY, 10, ark))
-    return EquationSystem("enc", tuple(stages))
+    return _scheduled_system("enc", {
+        ADD_ROUND_KEY: tuple(aes.addroundkey_equations(ARK_SPACE)),
+        ROUND: _composed_round_equations(sb),
+        FINAL_ROUND: _final_round_equations(sb),
+    })
 
 
 def build_decryption_system() -> EquationSystem:
-    """AddRoundKey10, then per round r = 9..1: Round r (inverse bytes after
-    inverse shift), AddRoundKey r, InvMixColumns r; finally Round 0 and
-    AddRoundKey0.  The key addition sits between the byte inversion and the
-    standalone inverse column mix."""
-    ark = tuple(aes.addroundkey_equations(ARK_SPACE))
-    inv_round = _inv_round_equations()
-    imc = tuple(aes.inv_mixcolumns_equations(STATE_SPACE))
-    stages = [Stage(ADD_ROUND_KEY, 10, ark)]
-    for r in range(9, 0, -1):
-        stages.append(Stage(INV_ROUND, r, inv_round))
-        stages.append(Stage(ADD_ROUND_KEY, r, ark))
-        stages.append(Stage(INV_MIX_COLUMNS, r, imc))
-    stages.append(Stage(INV_ROUND, 0, inv_round))
-    stages.append(Stage(ADD_ROUND_KEY, 0, ark))
-    return EquationSystem("dec", tuple(stages))
+    """The 30 decryption stages, inverse bytes placed after the inverse shift."""
+    return _scheduled_system("dec", {
+        ADD_ROUND_KEY: tuple(aes.addroundkey_equations(ARK_SPACE)),
+        INV_ROUND: _inv_round_equations(),
+        INV_MIX_COLUMNS: tuple(aes.inv_mixcolumns_equations(STATE_SPACE)),
+    })
 
 
 def _pack_blocks(blocks: Sequence[bytes]) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aesbool import aes
 from aesbool.anf import (Anf, Kernel, TermLimitError, VarSpace, batch_evaluate,
                          pack_columns, unpack_columns)
 from aesbool.boolfn import TruthTable, anf_from_truth_table, truth_table_from_anf
@@ -318,6 +319,68 @@ def test_rename_permuted_evaluation():
         assert g.evaluate(permuted) == f.evaluate(x)
 
 
+def _per_variable_rename(anf, mapping, width):
+    """The per-variable rename that sequences and mappings took before the
+    distance groups, kept as the reference: each monomial rebuilt one
+    variable at a time, an offset k read as the table v -> v + k."""
+    if isinstance(mapping, int):
+        mapping = {v: v + mapping for v in range(anf.width)}
+    table = {v: mapping[v] for v in anf.variables()}
+    assert len(set(table.values())) == len(table)
+    return Anf.from_terms(width, ([table[v] for v in mono] for mono in anf.monomials()))
+
+
+@pytest.mark.parametrize("width", [0, 1, 8, 128, 256])
+def test_rename_matches_the_per_variable_reference(width):
+    rng = random.Random(2000 + width)
+    anfs = [Anf.zero(width), Anf.one(width)]
+    for _ in range(10 if width else 0):
+        # monomials over a window of the space, so offsets can move them
+        low = rng.randrange(width)
+        high = rng.randrange(low, min(width, low + 40)) + 1
+        anfs.append(Anf.from_terms(width, [
+            [v for v in range(low, high) if rng.random() < 0.4]
+            for _ in range(rng.randrange(1, 10))]))
+    if width == 128:
+        anfs += aes.inv_subbytes_equations(VarSpace([("state", 128)]))[::9]
+    for f in anfs:
+        used = sorted(f.variables()) or [0]
+        low, high = used[0], used[-1]
+        cases = []
+        # negative, zero and positive offsets: the used variables flush with
+        # the bottom edge, within the space, and flush with the top edge
+        for offset in (-low, -(low // 2), 0, 1, 64):
+            cases += [(offset, high + offset + 1), (offset, width + max(offset, 0) + 3)]
+        perm = list(range(width))
+        rng.shuffle(perm)
+        spread = dict(zip(range(width), rng.sample(range(2 * width + 1), width)))
+        cases += [(perm, width), (spread, 2 * width + 1)]
+        if width == 128:
+            cases.append((aes.INV_SHIFTROWS_SOURCE, width))
+        for mapping, target in cases:
+            assert f.rename(mapping, width=target) == _per_variable_rename(f, mapping, target)
+
+
+def test_rename_names_the_lowest_negative_image_or_else_the_highest():
+    f = Anf.from_terms(8, [(1, 4), (6,), ()])
+    for mapping, width, named in (
+            ({1: 9, 4: 2, 6: 12}, 8, 12),             # several too high: the highest
+            ([0, 11, 2, 3, 10, 5, 9, 7], 10, 11),
+            ({1: 5, 4: -2, 6: -7}, 8, -7),            # several negative: the lowest
+            ({1: 20, 4: -2, 6: 3}, 8, -2),            # negative and too high: the negative
+            (-2, 8, -1), (2, 8, 8), (-3, 3, -2), (0, 6, 6)):
+        with pytest.raises(ValueError, match=rf"^renamed index {named} outside space of width {width}$"):
+            f.rename(mapping, width=width)
+    # injectivity is checked before the range
+    with pytest.raises(ValueError, match=r"^rename mapping is not injective$"):
+        f.rename({1: 0, 4: 0, 6: 20})
+    # unused variables' images are never looked at
+    assert f.rename({1: 1, 4: 4, 6: 6, 7: -5}) == f
+    assert f.rename([99, 1, 99, 99, 4, 99, 6, -1]) == f
+    assert Anf.one(8).rename({}, width=1) == Anf.one(1)
+    assert Anf.zero(8).rename([], width=0) == Anf.zero(0)
+
+
 # ---------------------------------------------------------------------------
 # point evaluation
 
@@ -558,3 +621,43 @@ def test_property_kernel_agrees_with_evaluate_mask(case):
                     dtype=np.uint8).reshape(width, len(inputs))
     out = unpack_columns(Kernel(equations)(pack_columns(bits)), len(inputs))
     assert out.tolist() == [[eq.evaluate_mask(x) for x in inputs] for eq in equations]
+
+
+@st.composite
+def substitutions(draw):
+    """An ANF over 1-8 variables and a binding of each variable into 1-8
+    variables; zero and constant ANFs come up on both sides."""
+    width, target = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+
+    def anfs(w):
+        return st.one_of(st.just(Anf.zero(w)), st.just(Anf.one(w)),
+                         st.lists(st.integers(0, (1 << w) - 1), max_size=6)
+                         .map(lambda terms: Anf(w, terms)))
+
+    return draw(anfs(width)), {v: draw(anfs(target)) for v in range(width)}, target
+
+
+@given(substitutions())
+def test_property_substitute_is_composed_evaluation(case):
+    f, bindings, target = case
+    composed = f.substitute(bindings)
+    assert composed.width == target
+    for x in range(1 << target):
+        inner = sum(g.evaluate_mask(x) << v for v, g in bindings.items())
+        assert composed.evaluate_mask(x) == f.evaluate_mask(inner)
+
+
+def _big_endian(mask, width):
+    """The mask read with variable 0 as the most significant of ``width`` bits."""
+    return sum(1 << (width - 1 - v) for v in range(width) if mask >> v & 1)
+
+
+@given(st.integers(0, 130).flatmap(lambda w: st.lists(st.integers(0, (1 << w) - 1), max_size=20)
+                                   .map(lambda terms: Anf(w, terms))))
+def test_property_bit_rows_round_trip_in_big_endian_mask_order(anf):
+    rows = anf.bit_rows()
+    assert rows.shape == (len(anf.terms), anf.width)
+    assert Anf.from_bit_rows(rows) == anf
+    # each row read as a binary number, variable 0 leftmost, ascending
+    assert ([int("0" + "".join(map(str, row)), 2) for row in rows.tolist()]
+            == sorted(_big_endian(m, anf.width) for m in anf.terms))

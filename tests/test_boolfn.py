@@ -157,6 +157,17 @@ def test_truth_table_from_anf_rejects_wide_variables():
         truth_table_from_anf(Anf.variable(8, 5), 3)
 
 
+def test_truth_table_from_anf_names_the_highest_variable_beyond_the_arity():
+    wide = Anf.from_terms(8, [(0, 1), (2, 6), (5,), ()])
+    with pytest.raises(ValueError, match=r"^ANF uses variable 6, outside arity 3$"):
+        truth_table_from_anf(wide, 3)
+    # a wider space whose used variables fit the arity is accepted
+    narrow = Anf.from_terms(8, [(0, 2), (1,), ()])
+    assert truth_table_from_anf(narrow, 3) == truth_table_from_anf(
+        Anf.from_terms(3, [(0, 2), (1,), ()]), 3)
+    assert truth_table_from_anf(Anf.zero(30), 1).to_string() == "00"
+
+
 def test_round_trip_random_six_variable_tables():
     rng = random.Random(42)
     for _ in range(64):

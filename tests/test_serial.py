@@ -317,6 +317,26 @@ def test_read_rejects_unknown_stage_label(tmp_path, enc_system):
         read_system(tmp_path / "AES_files_enc")
 
 
+@pytest.mark.parametrize("direction, label, outside", [
+    ("enc", "Round9", "Round10"),
+    ("dec", "Round9", "Round10"),
+    ("dec", "invMixColumns1", "invMixColumns0"),
+])
+def test_read_rejects_a_stage_outside_the_schedules(tmp_path, direction, label, outside):
+    # a known kind at a round no AES-128 system has: the writer never names it
+    root = tmp_path / serial_mod.system_dirname(direction)
+    root.mkdir()
+    text = serial_mod.render_manifest(direction, [
+        (system_mod.STAGE_KINDS[kind].trace_label.format(r), kind)
+        for kind, r in system_mod.SCHEDULES[direction]])
+    (root / "manifest.txt").write_text(text.replace(f" {label} ", f" {outside} ", 1))
+    with pytest.raises(ParseError,
+                       match=rf"manifest.txt:\d+: unrecognized stage label '{outside}'$"):
+        read_system(root)
+    rc, _, err = run_cli(["stats", "--files", str(root)])
+    assert rc == 2 and f"unrecognized stage label '{outside}'" in err
+
+
 # ---------------------------------------------------------------------------
 # the reader accepts only what the writer writes
 

@@ -122,12 +122,24 @@ def test_make_stage_validation():
     ("enc", [("InvMixColumns", 1)]),   # a decryption-only kind
     ("sideways", []),                  # no such direction
     ("enc", [("Round", 9)]),           # the encryption Round9 is the FinalRound
-], ids=["enc-invmixcolumns", "sideways", "enc-round9"])
+    ("enc", [("Round", 10)]),          # AES-128 has rounds 0..9 only
+    ("dec", [("InvRound", 10)]),
+    ("dec", [("InvMixColumns", 0)]),   # round 0 has no column mix
+], ids=["enc-invmixcolumns", "sideways", "enc-round9", "enc-round10", "dec-round10",
+        "dec-invmixcolumns0"])
 def test_system_rejects_stages_its_files_cannot_name(direction, stages):
     # each of these would write a tree that reads back as an error or as another system
     with pytest.raises(ValueError):
         system_mod.EquationSystem(direction, tuple(
             system_mod.Stage(kind, r, [Anf.one(128)] * 128) for kind, r in stages))
+
+
+def test_trace_labels_are_the_stages_of_the_built_systems(enc_system, dec_system):
+    assert system_mod.DIRECTIONS == ("enc", "dec")
+    labels = {(system.direction, st.trace_label): (st.kind, st.round_index)
+              for system in (enc_system, dec_system) for st in system.stages}
+    assert len(labels) == 21 + 30
+    assert system_mod.TRACE_LABELS == labels
 
 
 # ---------------------------------------------------------------------------
