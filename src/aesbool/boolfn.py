@@ -37,6 +37,16 @@ class TruthTable:
         self.bits = arr
 
     @classmethod
+    def _unchecked(cls, arity: int, bits: np.ndarray) -> "TruthTable":
+        """Wrap a 0/1 ``uint8`` array of 2^arity entries that nothing else
+        holds, as the library's own results are: no check and no copy."""
+        bits.flags.writeable = False
+        tt = object.__new__(cls)
+        tt.arity = arity
+        tt.bits = bits
+        return tt
+
+    @classmethod
     def from_string(cls, s: str) -> "TruthTable":
         """Parse an ASCII '0'/'1' string of length 2^n."""
         n = len(s).bit_length() - 1
@@ -63,35 +73,86 @@ class TruthTable:
         return f"TruthTable(arity={self.arity})"
 
 
+# The in-word steps of the transform on a table packed into 64-bit words, one
+# per index bit s < 6: (2^s, the mask of the positions whose bit s is 0).
+_IN_WORD_STEPS = tuple((1 << s, mask) for s, mask in enumerate((
+    0x5555_5555_5555_5555, 0x3333_3333_3333_3333, 0x0F0F_0F0F_0F0F_0F0F,
+    0x00FF_00FF_00FF_00FF, 0x0000_FFFF_0000_FFFF, 0x0000_0000_FFFF_FFFF)))
+_WORD_ARITY = 6
+
+# bit b of a 12-bit index moved to bit 11-b
+_REVERSED_12 = sum((np.arange(1 << 12, dtype=np.uint32) >> b & 1) << (11 - b) for b in range(12))
+
+
+def _mobius_words(words, arity: int):
+    """Subset-XOR transform of a 2^arity table packed little-endian into
+    64-bit words, bit k of the packing being row k; returns the words.
+
+    A table of one word or less is a Python int, which costs less than
+    numpy's fixed overhead per call; a longer one is a ``uint64`` array,
+    transformed in place.  Each index bit s < 6 is one in-word step, each
+    higher bit one pass of the halving butterfly across words.
+    """
+    for shift, mask in _IN_WORD_STEPS[:arity]:
+        words ^= (words & mask) << shift
+    if arity > _WORD_ARITY:
+        half = 1
+        while half < words.size:
+            pairs = words.reshape(-1, 2 * half)
+            pairs[:, half:] ^= pairs[:, :half]
+            half *= 2
+    return words
+
+
+def _transform_bits(bits: np.ndarray, arity: int) -> np.ndarray:
+    """The transform of a 0/1 ``uint8`` table, as a new ``uint8`` array."""
+    packed = np.packbits(bits, bitorder="little")
+    if arity <= _WORD_ARITY:
+        word = _mobius_words(int.from_bytes(packed.tobytes(), "little"), arity)
+        packed = np.frombuffer(word.to_bytes(8, "little"), dtype=np.uint8)
+    else:
+        packed = _mobius_words(packed.view("<u8"), arity).view(np.uint8)
+    return np.unpackbits(packed, count=1 << arity, bitorder="little")
+
+
+def _reverse_bits(indices: np.ndarray, arity: int) -> np.ndarray:
+    """Move bit j of each ``uint32`` index to bit arity-1-j, in place.
+
+    Maps transform rows (x_0 most significant) to monomial masks (x_0
+    least significant) and back, in O(T) for T indices: each index is
+    reversed as 12 or 24 bits, one 12-bit lookup per half, then shifted down.
+    """
+    if arity <= 12:
+        indices[:] = _REVERSED_12[indices]
+    else:
+        high = _REVERSED_12[indices >> 12]
+        indices &= 0xFFF
+        indices[:] = _REVERSED_12[indices]
+        indices <<= 12
+        indices |= high
+    indices >>= -arity % 12
+    return indices
+
+
 def mobius_transform(tt: TruthTable) -> TruthTable:
     """Subset-XOR transform: output[u] = XOR of input[v] over all v <= u.
 
-    Implemented as the in-place halving butterfly, one doubling pass per
-    variable; the transform is its own inverse.
+    The table is packed into 64-bit words, bit k of the packing being row
+    k: the index bits below 6 are XOR steps inside each word
+    (w ^= (w & m_s) << 2^s), the higher ones a halving butterfly across
+    words.  The transform is its own inverse.
     """
-    a = tt.bits.copy()
-    half = 1
-    size = a.size
-    while half < size:
-        a = a.reshape(-1, 2 * half)
-        a[:, half:] ^= a[:, :half]
-        half *= 2
-    return TruthTable(tt.arity, a.reshape(size))
-
-
-def _reverse_variables(bits: np.ndarray, arity: int) -> np.ndarray:
-    """Reorder a 2^n array so index bit j moves to bit n-1-j; its own inverse.
-
-    Turns row order (x_0 most significant) into monomial-mask order
-    (x_0 least significant) and back.
-    """
-    return bits.reshape((2,) * arity).transpose().ravel()
+    return TruthTable._unchecked(tt.arity, _transform_bits(tt.bits, tt.arity))
 
 
 def anf_from_truth_table(tt: TruthTable) -> Anf:
     """Unique ANF of the function: one monomial per 1 in the transform."""
-    coefficients = _reverse_variables(mobius_transform(tt).bits, tt.arity)
-    return Anf(tt.arity, _terms=frozenset(np.flatnonzero(coefficients).tolist()))
+    # numpy finds the nonzero entries of a bool array faster
+    masks = _reverse_bits(
+        np.flatnonzero(_transform_bits(tt.bits, tt.arity).view(bool)).astype(np.uint32), tt.arity)
+    masks.sort()  # a frozenset builds faster from ascending ints
+    masks = masks.tolist()  # the array goes before the set is built
+    return Anf(tt.arity, _terms=frozenset(masks))
 
 
 def truth_table_from_anf(anf: Anf, arity: int) -> TruthTable:
@@ -102,9 +163,10 @@ def truth_table_from_anf(anf: Anf, arity: int) -> TruthTable:
     if anf.width > arity and anf.terms and max(anf.terms) >> arity:
         raise ValueError(f"ANF uses variable {max(anf.terms).bit_length() - 1},"
                          f" outside arity {arity}")
+    masks = np.fromiter(anf.terms, dtype=np.uint32, count=len(anf.terms))
     coefficients = np.zeros(1 << arity, dtype=np.uint8)
-    coefficients[np.fromiter(anf.terms, dtype=np.intp, count=len(anf.terms))] = 1
-    return mobius_transform(TruthTable(arity, _reverse_variables(coefficients, arity)))
+    coefficients[_reverse_bits(masks, arity)] = 1
+    return TruthTable._unchecked(arity, _transform_bits(coefficients, arity))
 
 
 def evaluate(anf: Anf, assignment) -> int:

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aesbool.anf import Anf
 from aesbool.boolfn import (
@@ -237,6 +239,90 @@ def test_anf_from_truth_table_matches_per_coefficient_reference(n):
     for _ in range(20):
         tt = random_truth_table(n, rng)
         assert anf_from_truth_table(tt).terms == _anf_terms_per_coefficient(tt)
+
+
+# ---------------------------------------------------------------------------
+# the packed transform against the byte butterfly it replaced
+
+def _reference_mobius(bits):
+    """The halving butterfly on one uint8 per row, one pass per variable."""
+    a = bits.copy()
+    half = 1
+    while half < a.size:
+        a = a.reshape(-1, 2 * half)
+        a[:, half:] ^= a[:, :half]
+        half *= 2
+    return a.reshape(-1)
+
+
+def _reference_reverse_variables(bits, arity):
+    """The whole table with index bit j moved to bit n-1-j: rows <-> masks."""
+    return bits.reshape((2,) * arity).transpose().ravel()
+
+
+def _reference_terms(bits, arity):
+    coefficients = _reference_reverse_variables(_reference_mobius(bits), arity)
+    return frozenset(np.flatnonzero(coefficients).tolist())
+
+
+def _reference_table(terms, arity):
+    coefficients = np.zeros(1 << arity, dtype=np.uint8)
+    coefficients[list(terms)] = 1
+    return _reference_mobius(_reference_reverse_variables(coefficients, arity))
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 20, 24])
+def test_conversions_match_the_byte_butterfly_reference(n):
+    rng = np.random.default_rng(11_000 + n)
+    for _ in range(20 if n <= 12 else 1):
+        bits = rng.integers(0, 2, 1 << n, dtype=np.uint8)
+        tt = TruthTable(n, bits)
+        assert np.array_equal(mobius_transform(tt).bits, _reference_mobius(bits))
+        if n <= 20:  # a random table at 24 has ~2^23 terms
+            terms = _reference_terms(bits, n)
+            assert anf_from_truth_table(tt).terms == terms
+            assert np.array_equal(truth_table_from_anf(Anf(n, _terms=terms), n).bits, bits)
+    # sparse ANFs reach every arity, and their tables have few terms back
+    sparse_rng = random.Random(11_000 + n)
+    for _ in range(5 if n <= 12 else 2):
+        anf = _random_sparse_anf(n, sparse_rng)
+        table = _reference_table(anf.terms, n)
+        assert np.array_equal(truth_table_from_anf(anf, n).bits, table)
+        assert anf_from_truth_table(TruthTable(n, table)).terms == anf.terms
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 12))
+    size = max(1, (1 << n) // 8)
+    raw = draw(st.binary(min_size=size, max_size=size))
+    return n, np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=1 << n)
+
+
+@given(tables())
+def test_property_packed_transform_matches_the_reference(case):
+    n, bits = case
+    tt = TruthTable(n, bits)
+    assert np.array_equal(mobius_transform(tt).bits, _reference_mobius(bits))
+    assert anf_from_truth_table(tt).terms == _reference_terms(bits, n)
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 20])
+def test_conversions_leave_inputs_alone_and_return_read_only_tables(n):
+    # below one word, exactly one word, two words, many words
+    tt = TruthTable(n, np.random.default_rng(12_000 + n).integers(0, 2, 1 << n, dtype=np.uint8))
+    bits = tt.bits.copy()
+    anf = anf_from_truth_table(tt)
+    terms = set(anf.terms)
+    results = [mobius_transform(tt), truth_table_from_anf(anf, n)]
+    assert np.array_equal(tt.bits, bits) and anf.terms == terms
+    assert results[1] == tt
+    for result in results:
+        assert result.bits.dtype == np.uint8 and result.bits.shape == (1 << n,)
+        assert not result.bits.flags.writeable
+        assert not np.shares_memory(result.bits, tt.bits)
+        with pytest.raises(ValueError):
+            result.bits[0] ^= 1
 
 
 # ---------------------------------------------------------------------------
