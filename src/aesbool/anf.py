@@ -24,6 +24,13 @@ Evaluation at one point x uses the identity the Moebius transform rests
 on, f(x) = XOR of a_u over u within x: ``evaluate_mask`` looks up the
 subsets of x in the term set or scans the T terms, whichever is fewer, so
 a point costs min(T, 2^|x|).
+
+Evaluation over a batch compiles equations into a ``Kernel`` of per-byte
+truth tables: each monomial within one input byte is a coefficient of
+that byte's 256-entry table, and the package's one subset-XOR transform,
+``_mobius_words``, turns the coefficients into the tables.  Every stage of
+the AES systems has only such monomials, so a stage is an XOR of table
+lookups, one per input byte.
 """
 
 from __future__ import annotations
@@ -39,11 +46,17 @@ import numpy as np
 # exhausting memory.
 DEFAULT_MAX_TERMS = 1 << 22
 
-# Gathered monomial rows one Kernel reduction may hold at once, in uint64
-# words (512 KiB): the XOR pass never materializes every monomial instance
-# of a large batch.
-_GATHER_WORDS = 1 << 16
-_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+# The in-word steps of the transform on a table packed into 64-bit words, one
+# per index bit s < 6: (2^s, the mask of the positions whose bit s is 0).
+_IN_WORD_STEPS = tuple((1 << s, mask) for s, mask in enumerate((
+    0x5555_5555_5555_5555, 0x3333_3333_3333_3333, 0x0F0F_0F0F_0F0F_0F0F,
+    0x00FF_00FF_00FF_00FF, 0x0000_FFFF_0000_FFFF, 0x0000_0000_FFFF_FFFF)))
+_WORD_ARITY = 6
+
+# each byte with its bits in reverse order: variable 8c + i is bit i of
+# byte c in an int mask, bit 7 - i of byte c in a row
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_REVERSED_BYTE = np.frombuffer(_REVERSED_BYTES, dtype=np.uint8)
 
 
 class TermLimitError(RuntimeError):
@@ -397,34 +410,78 @@ class Anf:
     __str__ = to_str
 
 
-def pack_columns(bits: np.ndarray) -> np.ndarray:
-    """Bitslice 0/1 samples along the last axis into ``uint64`` words.
+def _mobius_words(words, arity: int):
+    """Subset-XOR transform of 2^arity-row tables packed little-endian into
+    64-bit words, bit k of a table's packing being its row k; returns the
+    words.
 
-    A ``(..., N)`` array becomes ``(..., ceil(N / 64))``: bit ``k`` of the
-    samples lands in word ``k // 64``.  Padding bits are zero.
+    A table of one word or less is a Python int, which costs less than
+    numpy's fixed overhead per call; a longer one is a ``uint64`` array,
+    transformed in place, that may hold a run of tables one after another.
+    Each index bit s < 6 is one in-word step, each higher bit one pass of
+    the halving butterfly across a table's 2^(arity-6) words.
     """
-    n = bits.shape[-1]
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    out = np.zeros(bits.shape[:-1] + (-(-n // 64) * 8,), dtype=np.uint8)
-    out[..., :packed.shape[-1]] = packed
-    return out.view(np.uint64)
+    for shift, mask in _IN_WORD_STEPS[:arity]:
+        words ^= (words & mask) << shift
+    for half in (1 << s for s in range(arity - _WORD_ARITY)):
+        pairs = words.reshape(-1, 2 * half)
+        pairs[:, half:] ^= pairs[:, :half]
+    return words
 
 
-def unpack_columns(columns: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`pack_columns`: the first ``n`` samples as 0/1 bytes."""
-    return np.unpackbits(columns.view(np.uint8), axis=-1, count=n, bitorder="little")
+def _word_tables(equations: Sequence[Anf], nbytes: int) -> tuple:
+    """The part of a :class:`Kernel` for up to 32 equations, one output word:
+    the input bytes whose tables touch it, their offsets into the run of
+    those tables, the run, the constant word, and the residual monomials
+    as byte rows with the outputs that XOR each."""
+    # each equation's terms as rows of the distinct monomials, and the bytes
+    # of those, byte c carrying x_{8c+i} at bit i (one byte more than the
+    # width needs, so that there is one)
+    row_of: dict[int, int] = {}
+    lengths = [len(eq.terms) for eq in equations]
+    term_rows = np.fromiter((row_of.setdefault(m, len(row_of)) for eq in equations for m in eq.terms),
+                            dtype=np.intp, count=sum(lengths))
+    owner = np.repeat(np.arange(len(equations)), lengths)
+    raw = np.frombuffer(b"".join(map(operator.methodcaller("to_bytes", nbytes + 1, "little"), row_of)),
+                        dtype=np.uint8).reshape(len(row_of), nbytes + 1)
+    spread = np.count_nonzero(raw, axis=1)[term_rows]   # the bytes each term spans
+    byte = raw.argmax(axis=1)
+    rows = term_rows[spread == 1]
+    # one table per (input byte, output) that has a coefficient
+    pair = 32 * byte[rows] + owner[spread == 1]
+    present = np.zeros(32 * nbytes, dtype=bool)
+    present[pair] = True
+    pairs = np.flatnonzero(present)
+    coefficients = np.zeros((len(pairs), 256), dtype=np.uint8)
+    coefficients[np.cumsum(present)[pair] - 1, _REVERSED_BYTE[raw[rows, byte[rows]]]] = 1
+    packed = np.packbits(coefficients, axis=1, bitorder="little").view("<u8")
+    _mobius_words(packed.reshape(-1), 8)
+    bits = np.zeros((nbytes, 256, 32), dtype=np.uint8)
+    bits[pairs // 32, :, pairs % 32] = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
+    # (byte, value): output 8k+i of the word at bit 8k+7-i
+    tables = np.packbits(bits, axis=2).view("<u4")[:, :, 0]
+    used = np.flatnonzero(tables.any(axis=1))
+    constant = np.zeros(32, dtype=np.uint8)
+    constant[owner[spread == 0]] = 1
+    cross, slot = np.unique(term_rows[spread > 1], return_inverse=True)
+    selector = np.zeros((len(cross), 32), dtype=np.uint8)
+    selector[slot, owner[spread > 1]] = 1
+    return (used, 256 * np.arange(len(used)), tables[used].ravel(),
+            np.packbits(constant).view("<u4")[0], _REVERSED_BYTE[raw[cross, :nbytes]], selector)
 
 
 class Kernel:
-    """Equations compiled once for bitsliced evaluation over a batch.
+    """Equations compiled once into per-byte truth tables for evaluation
+    over a batch of ``uint8`` rows in the block convention: x_{8c+i} is bit
+    7-i of byte c, and so is output 8c+i.
 
-    ``monomials`` is a ``(U, depth)`` array holding the variable indices of
-    the equations' U distinct monomials, padded with ``width``: the index of
-    an all-ones column, so shorter monomials (and the constant monomial,
-    which has no variables) AND in ones.  The selector gives, output by
-    output, the rows of ``monomials`` each equation XORs.  Evaluating ANDs
-    each distinct monomial once for the whole batch and then takes the
-    parities, so a monomial shared by many equations costs one product.
+    A monomial within one input byte is a coefficient of that byte's
+    256-entry table, at its bit-reversed local index, and the subset-XOR
+    transform turns coefficients into tables.  An equation is then one
+    lookup per input byte, its constant and the residual, its monomials
+    over two or more bytes (no built system has one), XORed.  The tables of
+    32 outputs share one ``uint32`` word per (byte, value); each output
+    word gathers only the bytes whose tables touch it.
     """
 
     def __init__(self, equations: Sequence[Anf]):
@@ -434,51 +491,26 @@ class Kernel:
                 raise ValueError("equations span different variable spaces")
         self.width = width
         self.outputs = len(equations)
-        # The selector is one flat list of monomial rows, grouped by output:
-        # equation rows[k] XORs selector[starts[k]:starts[k + 1]].  Zero
-        # equations have no group and stay zero.
-        row_of: dict[int, int] = {}
-        self._selector = np.array(
-            [row_of.setdefault(m, len(row_of)) for eq in equations for m in eq.terms],
-            dtype=np.intp)
-        self._rows = np.array([j for j, eq in enumerate(equations) if eq.terms],
-                              dtype=np.intp)
-        self._starts = np.cumsum([0, *(len(eq.terms) for eq in equations if eq.terms)],
-                                 dtype=np.intp)
-        depth = max([1, *(m.bit_count() for m in row_of)])
-        self.monomials = np.full((len(row_of), depth), width, dtype=np.intp)
-        for i, m in enumerate(row_of):
-            vars_ = _vars_from_mask(m)
-            self.monomials[i, :len(vars_)] = vars_
+        self._words = [_word_tables(equations[k:k + 32], -(-width // 8))
+                       for k in range(0, self.outputs, 32)]
+        self._constant = np.array([word[3] for word in self._words], dtype="<u4")
 
-    def __call__(self, columns: np.ndarray) -> np.ndarray:
-        """Evaluate on ``(width, words)`` bitsliced ``uint64`` input columns.
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        """Evaluate on ``(N, ceil(width / 8))`` ``uint8`` input rows.
 
-        Returns ``(outputs, words)`` columns, row j carrying equation j.
+        Returns ``(N, ceil(outputs / 8))`` ``uint8`` output rows.
         """
-        # the padding index must land on the appended all-ones row
-        if columns.shape[0] != self.width:
-            raise ValueError(f"expected {self.width} input columns, got {columns.shape[0]}")
-        words = columns.shape[1]
-        ones = np.full((1, words), _ALL_ONES, dtype=np.uint64)
-        columns = np.concatenate((columns, ones))
-        values = columns[self.monomials[:, 0]]
-        for d in range(1, self.monomials.shape[1]):
-            values &= columns[self.monomials[:, d]]
-        out = np.zeros((self.outputs, words), dtype=np.uint64)
-        # Reduce a run of outputs at a time so the gathered monomial rows
-        # stay within _GATHER_WORDS, whatever the batch size.
-        rows, starts, selector = self._rows, self._starts, self._selector
-        step = max(1, _GATHER_WORDS // max(words, 1))
-        k = 0
-        while k < len(rows):
-            stop = int(np.searchsorted(starts, starts[k] + step, side="right")) - 1
-            stop = max(stop, k + 1)
-            lo, hi = starts[k], starts[stop]
-            out[rows[k:stop]] = np.bitwise_xor.reduceat(
-                values[selector[lo:hi]], starts[k:stop] - lo, axis=0)
-            k = stop
-        return out
+        if rows.ndim != 2 or rows.shape[1] != -(-self.width // 8):
+            raise ValueError(f"expected rows of {-(-self.width // 8)} bytes, got shape {rows.shape}")
+        out = np.empty((len(rows), len(self._words)), dtype="<u4")
+        for w, (used, offsets, table, _, masks, selector) in enumerate(self._words):
+            np.bitwise_xor.reduce(table[rows[:, used] + offsets], axis=1, out=out[:, w])
+            if len(masks):
+                products = (rows[:, None, :] & masks == masks).all(axis=2).view(np.uint8)
+                # uint8 sums wrap modulo 256, which keeps their parity
+                out[:, w] ^= np.packbits((products @ selector) & 1, axis=1).view("<u4")[:, 0]
+        out ^= self._constant
+        return out.view(np.uint8)[:, :-(-self.outputs // 8)]
 
 
 def batch_evaluate(equations: Sequence[Anf], inputs: Sequence[int]) -> list[int]:
@@ -487,8 +519,8 @@ def batch_evaluate(equations: Sequence[Anf], inputs: Sequence[int]) -> list[int]
     ``inputs`` are int masks (bit v = value of x_v).  Returns one output
     mask per input, bit j carrying the value of ``equations[j]``.
 
-    Bitslices the masks into ``uint64`` columns and runs them through a
-    :class:`Kernel` compiled from ``equations``.
+    Turns the masks into byte rows and runs them through a :class:`Kernel`
+    compiled from ``equations``.
     """
     n = len(inputs)
     if n == 0:
@@ -496,10 +528,7 @@ def batch_evaluate(equations: Sequence[Anf], inputs: Sequence[int]) -> list[int]
     kernel = Kernel(equations)
     if any(ones < 0 or ones >> kernel.width for ones in inputs):
         raise ValueError(f"input mask outside the variable space of width {kernel.width}")
-    nbytes = (kernel.width + 7) // 8
-    raw = b"".join(ones.to_bytes(nbytes, "little") for ones in inputs)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(n, nbytes),
-                         axis=1, count=kernel.width, bitorder="little")
-    out = unpack_columns(kernel(pack_columns(bits.T)), n)
-    packed = np.packbits(out.T, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    nbytes = -(-kernel.width // 8)
+    raw = b"".join(ones.to_bytes(nbytes, "little") for ones in inputs).translate(_REVERSED_BYTES)
+    out = kernel(np.frombuffer(raw, dtype=np.uint8).reshape(n, nbytes))
+    return [int.from_bytes(row.tobytes().translate(_REVERSED_BYTES), "little") for row in out]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .anf import Anf
+from .anf import _WORD_ARITY, Anf, _mobius_words
 
 # 2^24 output bits (16 MiB).  Wider functions have no materializable truth
 # table; the AES machinery never needs one.
@@ -73,35 +73,8 @@ class TruthTable:
         return f"TruthTable(arity={self.arity})"
 
 
-# The in-word steps of the transform on a table packed into 64-bit words, one
-# per index bit s < 6: (2^s, the mask of the positions whose bit s is 0).
-_IN_WORD_STEPS = tuple((1 << s, mask) for s, mask in enumerate((
-    0x5555_5555_5555_5555, 0x3333_3333_3333_3333, 0x0F0F_0F0F_0F0F_0F0F,
-    0x00FF_00FF_00FF_00FF, 0x0000_FFFF_0000_FFFF, 0x0000_0000_FFFF_FFFF)))
-_WORD_ARITY = 6
-
 # bit b of a 12-bit index moved to bit 11-b
 _REVERSED_12 = sum((np.arange(1 << 12, dtype=np.uint32) >> b & 1) << (11 - b) for b in range(12))
-
-
-def _mobius_words(words, arity: int):
-    """Subset-XOR transform of a 2^arity table packed little-endian into
-    64-bit words, bit k of the packing being row k; returns the words.
-
-    A table of one word or less is a Python int, which costs less than
-    numpy's fixed overhead per call; a longer one is a ``uint64`` array,
-    transformed in place.  Each index bit s < 6 is one in-word step, each
-    higher bit one pass of the halving butterfly across words.
-    """
-    for shift, mask in _IN_WORD_STEPS[:arity]:
-        words ^= (words & mask) << shift
-    if arity > _WORD_ARITY:
-        half = 1
-        while half < words.size:
-            pairs = words.reshape(-1, 2 * half)
-            pairs[:, half:] ^= pairs[:, :half]
-            half *= 2
-    return words
 
 
 def _transform_bits(bits: np.ndarray, arity: int) -> np.ndarray:

@@ -6,6 +6,12 @@ bits become the next stage's input variables, so the layering introduces a
 fresh 128-variable set per stage instead of flattening ten rounds into one
 (astronomically large) ANF.  No operation here ever produces a flattened
 multi-round ANF.
+
+Because each stage works on fresh variables, every monomial lies within
+one input byte, and each stage compiles into one ``Kernel`` of per-byte
+truth tables.  Evaluation carries the state between stages as ``(N, 16)``
+``uint8`` block rows, one per (block, key) pair; AddRoundKey stages append
+the pair's round key from one ``(N, 11, 16)`` array.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import aes
-from .anf import Anf, Kernel, VarSpace, pack_columns, unpack_columns
+from .anf import Anf, Kernel, VarSpace
 
 STATE_SPACE = VarSpace([("state", 128)])
 ARK_SPACE = VarSpace([("state", 128), ("key", 128)])
@@ -212,30 +218,20 @@ def build_decryption_system() -> EquationSystem:
     })
 
 
-def _pack_blocks(blocks: Sequence[bytes]) -> np.ndarray:
-    """Bitsliced columns of 16-byte blocks: row i carries bit b_i."""
-    for block in blocks:
-        aes.check_block(block)
-    raw = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(len(blocks), aes.BLOCK_BYTES)
-    return pack_columns(np.unpackbits(raw, axis=1).T)
-
-
-def _unpack_blocks(columns: np.ndarray, n: int) -> list[bytes]:
-    rows = np.packbits(unpack_columns(columns, n).T, axis=1)
-    return [row.tobytes() for row in rows]
-
-
 def _stage_outputs(system: EquationSystem, blocks: Sequence[bytes],
                    keys: Sequence[bytes]) -> Iterator[np.ndarray]:
-    """Run every (block, key) pair through the stages at once, bitsliced;
-    yields each stage's output columns in order."""
-    state = _pack_blocks(blocks)
-    # (11, 128, words): round key r of every pair, bitsliced
-    round_keys = np.stack([_pack_blocks(rks) for rks in
-                           zip(*(aes.reference_key_schedule(k) for k in keys))])
+    """Run every (block, key) pair through the stages at once; yields each
+    stage's output as ``(N, 16)`` ``uint8`` block rows, in order."""
+    for block in blocks:
+        aes.check_block(block)
+    state = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, aes.BLOCK_BYTES)
+    # (N, 11, 16): the round keys of every pair
+    round_keys = np.frombuffer(
+        b"".join(b"".join(aes.reference_key_schedule(k)) for k in keys),
+        dtype=np.uint8).reshape(len(keys), len(ROUND_INDICES), aes.BLOCK_BYTES)
     for stage, kernel in zip(system.stages, system.kernels):
         if stage.key_width:
-            state = np.concatenate((state, round_keys[stage.round_index]))
+            state = np.concatenate((state, round_keys[:, stage.round_index]), axis=1)
         state = kernel(state)
         yield state
 
@@ -250,7 +246,7 @@ def evaluate_system(system: EquationSystem, block: bytes,
     """
     output, trace = block, []
     for stage, state in zip(system.stages, _stage_outputs(system, [block], [key])):
-        output = _unpack_blocks(state, 1)[0]
+        output = state.tobytes()
         trace.append((stage.trace_label, output.hex()))
     return output, trace
 
@@ -259,10 +255,10 @@ def evaluate_system_batch(system: EquationSystem, blocks: Sequence[bytes],
                           keys: Sequence[bytes]) -> list[bytes]:
     """Evaluate many (block, key) pairs at once; no trace.
 
-    Bitsliced: blocks and round keys become ``uint64`` columns, one row per
-    variable and one bit per pair, that pass through each stage's compiled
-    kernel together.  Much faster than repeated evaluate_system when
-    checking the system against the reference cipher in bulk.
+    Blocks and round keys are ``uint8`` rows, one per pair, that pass
+    through each stage's compiled kernel together.  Much faster than
+    repeated evaluate_system when checking the system against the
+    reference cipher in bulk.
     """
     if len(blocks) != len(keys):
         raise ValueError("need one key per block")
@@ -270,7 +266,8 @@ def evaluate_system_batch(system: EquationSystem, blocks: Sequence[bytes],
         return []
     for state in _stage_outputs(system, blocks, keys):
         pass
-    return _unpack_blocks(state, len(blocks))
+    raw = state.tobytes()
+    return [raw[i:i + aes.BLOCK_BYTES] for i in range(0, len(raw), aes.BLOCK_BYTES)]
 
 
 def reference_trace(direction: str, block: bytes, key: bytes) -> list[tuple[str, str]]:

@@ -12,6 +12,9 @@ from aesbool import system as system_mod
 settings.register_profile("aesbool", derandomize=True, database=None,
                           max_examples=60, deadline=None)
 settings.load_profile("aesbool")
+# Ten times the examples, for a separate run of the properties alone:
+# pytest -k property --hypothesis-profile=aesbool-deep
+settings.register_profile("aesbool-deep", settings.get_profile("aesbool"), max_examples=600)
 
 FIPS_PLAIN = "00112233445566778899aabbccddeeff"
 FIPS_KEY = "000102030405060708090a0b0c0d0e0f"

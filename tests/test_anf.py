@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aesbool import aes
-from aesbool.anf import (Anf, Kernel, TermLimitError, VarSpace, batch_evaluate,
-                         pack_columns, unpack_columns)
+from aesbool.anf import Anf, Kernel, TermLimitError, VarSpace, batch_evaluate
 from aesbool.boolfn import TruthTable, anf_from_truth_table, truth_table_from_anf
 
 
@@ -538,9 +537,9 @@ def test_equality_is_term_set_equality():
 
 
 def test_batch_evaluate_matches_single(enc_system, dec_system):
-    # the bitsliced kernel against the term-by-term evaluator: every stage
+    # the table kernel against the term-by-term evaluator: every stage
     # kind, plus a zero and a constant-1 equation, on batch sizes either
-    # side of the 64-sample word boundaries
+    # side of 64 samples
     rng = random.Random(10)
     sources = {"random": [random_anf(8, rng) for _ in range(5)]}
     for system in (enc_system, dec_system):
@@ -571,7 +570,7 @@ def test_batch_evaluate_rejects_inputs_outside_space():
 def test_kernel_rejects_wrong_column_count():
     kernel = Kernel([Anf.one(4)])
     with pytest.raises(ValueError):
-        kernel(np.zeros((5, 1), dtype=np.uint64))
+        kernel(np.zeros((1, 2), dtype=np.uint8))
 
 
 def test_batch_evaluate_empty():
@@ -617,10 +616,61 @@ def kernel_batches(draw):
 def test_property_kernel_agrees_with_evaluate_mask(case):
     equations, inputs = case
     width = equations[0].width
-    bits = np.array([[x >> v & 1 for x in inputs] for v in range(width)],
-                    dtype=np.uint8).reshape(width, len(inputs))
-    out = unpack_columns(Kernel(equations)(pack_columns(bits)), len(inputs))
+    # one row per input, x_{8c+i} at bit 7-i of byte c
+    bits = np.array([[x >> v & 1 for v in range(width)] for x in inputs],
+                    dtype=np.uint8).reshape(len(inputs), width)
+    out = np.unpackbits(Kernel(equations)(np.packbits(bits, axis=1)), axis=1,
+                        count=len(equations)).T
     assert out.tolist() == [[eq.evaluate_mask(x) for x in inputs] for eq in equations]
+
+
+@st.composite
+def table_kernel_batches(draw):
+    """Equations over 0-260 variables, of kinds drawn from zero,
+    constant-only, byte-local, cross-byte and mixed, on N random byte rows
+    (padding bits past the width included); no equations at all is
+    ``Kernel([])``."""
+    rng = draw(st.randoms(use_true_random=False))
+    outputs = draw(st.one_of(st.just(0), st.integers(1, 130)))
+    width = draw(st.integers(0, 260)) if outputs else 0
+    nbytes = -(-width // 8)
+
+    def within(c):   # a nonzero monomial of byte c's variables
+        return (rng.getrandbits(min(8, width - 8 * c)) or 1) << 8 * c
+
+    def spanning():   # a monomial over two or three bytes, if there are two
+        if nbytes < 2:
+            return 0
+        return sum(map(within, rng.sample(range(nbytes), rng.randint(2, min(3, nbytes)))))
+
+    kinds = draw(st.sets(st.sampled_from(["zero", "constant", "local", "cross", "mixed"]),
+                         min_size=1))
+    equations = []
+    for _ in range(outputs):
+        kind = rng.choice(sorted(kinds)) if width else rng.choice(["zero", "constant"])
+        local = [within(rng.randrange(nbytes)) for _ in range(rng.randint(1, 6))] if width else []
+        cross = [spanning() for _ in range(rng.randint(1, 4))]
+        terms = {"zero": [], "constant": [0], "local": local, "cross": cross,
+                 "mixed": local[:3] + cross[:2] + [0] * rng.randint(0, 1)}[kind]
+        equations.append(Anf(width, terms))
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 66, 1000]))
+    rows = np.frombuffer(rng.randbytes(n * nbytes), dtype=np.uint8).reshape(n, nbytes)
+    return equations, rows
+
+
+@given(table_kernel_batches())
+def test_property_table_kernel_agrees_with_evaluate_mask(case):
+    equations, rows = case
+    width = equations[0].width if equations else 0
+    # bit 7-i of byte c is x_{8c+i}; the bits past the width meet no variable
+    points = [int("".join(map(str, row[:width][::-1])) or "0", 2)
+              for row in np.unpackbits(rows, axis=1).tolist()]
+    out = Kernel(equations)(rows)
+    assert out.shape == (len(rows), -(-len(equations) // 8))
+    bits = np.unpackbits(out, axis=1)
+    assert not bits[:, len(equations):].any()
+    assert bits[:, :len(equations)].tolist() == [[eq.evaluate_mask(x) for eq in equations]
+                                                 for x in points]
 
 
 @st.composite

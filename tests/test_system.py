@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -178,6 +179,27 @@ def test_decryption_inverts_encryption_in_bulk(enc_system, dec_system):
     cts = system_mod.evaluate_system_batch(enc_system, blocks, keys)
     back = system_mod.evaluate_system_batch(dec_system, cts, keys)
     assert back == blocks
+
+
+def test_large_batches_match_the_reference_cipher_in_bounded_memory(enc_system, dec_system):
+    rng = random.Random(24)
+    blocks = [rng.randbytes(16) for _ in range(16384)]
+    keys = [rng.randbytes(16) for _ in range(16384)]
+    assert (system_mod.evaluate_system_batch(enc_system, blocks, keys)
+            == [aes.reference_encrypt(b, k) for b, k in zip(blocks, keys)])
+    assert (system_mod.evaluate_system_batch(dec_system, blocks, keys)
+            == [aes.reference_decrypt(b, k) for b, k in zip(blocks, keys)])
+    # one enc batch of N pairs peaks under 4x its (N, 11, 16) uint8 round keys
+    n = 65536
+    blocks = [rng.randbytes(16) for _ in range(n)]
+    keys = [rng.randbytes(16) for _ in range(n)]
+    tracemalloc.start()
+    try:
+        system_mod.evaluate_system_batch(enc_system, blocks, keys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * 11 * 16
 
 
 def test_single_evaluation_matches_batch(enc_system):
