@@ -6,7 +6,9 @@ inverse.  The oracle is table-driven: SubBytes is a ``bytes.translate``
 through SBOX, MixColumns XORs the state translated through one 256-byte
 GF(2^8) product table per coefficient (each built from ``gf_mul``), and
 AddRoundKey and the key schedule XOR whole blocks and words as ints.  It
-uses no equation, so it stays independent of what it checks.  Bit
+uses no equation, so it stays independent of what it checks.
+``reference_encrypt_states`` and ``reference_decrypt_states`` return the
+state after every stage, unlabelled; ``system`` names the stages.  Bit
 conventions, used consistently:
 
   * a 128-bit block is a 16-byte string in FIPS hex order;
@@ -21,7 +23,7 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 
-from .anf import Anf, VarSpace
+from .anf import _REVERSED_BYTES, Anf, VarSpace
 from .boolfn import TruthTable, anf_from_truth_table
 
 SBOX = (
@@ -98,16 +100,13 @@ def gf_mul(a: int, b: int) -> int:
     return r
 
 
-_REV8_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
 def block_to_mask(block: bytes) -> int:
     """Pack a 16-byte block into an int with bit i carrying b_i."""
-    return int.from_bytes(block.translate(_REV8_BYTES), "little")
+    return int.from_bytes(block.translate(_REVERSED_BYTES), "little")
 
 
 def mask_to_block(mask: int) -> bytes:
-    return mask.to_bytes(BLOCK_BYTES, "little").translate(_REV8_BYTES)
+    return mask.to_bytes(BLOCK_BYTES, "little").translate(_REVERSED_BYTES)
 
 
 def block_from_hex(s: str) -> bytes:
@@ -214,51 +213,48 @@ def check_block(block: bytes) -> None:
 
 
 def reference_encrypt(block: bytes, key: bytes) -> bytes:
-    return reference_encrypt_trace(block, key)[-1][1]
+    return reference_encrypt_states(block, key)[-1]
 
 
 def reference_decrypt(block: bytes, key: bytes) -> bytes:
-    return reference_decrypt_trace(block, key)[-1][1]
+    return reference_decrypt_states(block, key)[-1]
 
 
-def reference_encrypt_trace(block: bytes, key: bytes) -> list[tuple[str, bytes]]:
-    """Encrypt, recording every stage output under its trace label."""
+def reference_encrypt_states(block: bytes, key: bytes) -> list[bytes]:
+    """Encrypt, recording the state after each of the 21 encryption stages."""
     check_block(block)
     keys = reference_key_schedule(key)
-    trace = []
     state = add_round_key(block, keys[0])
-    trace.append(("addRoundKey0", state))
+    states = [state]
     for r in range(9):
         state = mix_columns(shift_rows(sub_bytes(state)))
-        trace.append((f"Round{r}", state))
+        states.append(state)
         state = add_round_key(state, keys[r + 1])
-        trace.append((f"addRoundKey{r + 1}", state))
+        states.append(state)
     state = shift_rows(sub_bytes(state))
-    trace.append(("Round9", state))
-    state = add_round_key(state, keys[10])
-    trace.append(("addRoundKey10", state))
-    return trace
+    states.append(state)
+    states.append(add_round_key(state, keys[10]))
+    return states
 
 
-def reference_decrypt_trace(block: bytes, key: bytes) -> list[tuple[str, bytes]]:
-    """Decrypt with AddRoundKey between the byte inversion and the column mix."""
+def reference_decrypt_states(block: bytes, key: bytes) -> list[bytes]:
+    """Decrypt, recording the state after each of the 30 decryption stages:
+    AddRoundKey sits between the byte inversion and the column mix."""
     check_block(block)
     keys = reference_key_schedule(key)
-    trace = []
     state = add_round_key(block, keys[10])
-    trace.append(("addRoundKey10", state))
+    states = [state]
     for r in range(9, 0, -1):
         state = inv_sub_bytes(inv_shift_rows(state))
-        trace.append((f"Round{r}", state))
+        states.append(state)
         state = add_round_key(state, keys[r])
-        trace.append((f"addRoundKey{r}", state))
+        states.append(state)
         state = inv_mix_columns(state)
-        trace.append((f"invMixColumns{r}", state))
+        states.append(state)
     state = inv_sub_bytes(inv_shift_rows(state))
-    trace.append(("Round0", state))
-    state = add_round_key(state, keys[0])
-    trace.append(("addRoundKey0", state))
-    return trace
+    states.append(state)
+    states.append(add_round_key(state, keys[0]))
+    return states
 
 
 # ---------------------------------------------------------------------------

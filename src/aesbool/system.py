@@ -7,6 +7,11 @@ fresh 128-variable set per stage instead of flattening ten rounds into one
 (astronomically large) ANF.  No operation here ever produces a flattened
 multi-round ANF.
 
+Stage kinds, stage order and labels live here alone: ``reference_trace``
+names the byte-level oracle's bare states.  FinalRound and InvRound index
+the (inverse) substitution by the (inverse) row-shift table; Round is the
+column mix with the FinalRound substituted in.
+
 Because each stage works on fresh variables, every monomial lies within
 one input byte, and each stage compiles into one ``Kernel`` of per-byte
 truth tables.  Evaluation carries the state between stages as ``(N, 16)``
@@ -64,11 +69,17 @@ SCHEDULES: dict[str, tuple[tuple[str, int], ...]] = {
 }
 DIRECTIONS = tuple(SCHEDULES)
 
+# Each direction's trace labels in stage order, formatted once here.
+SCHEDULE_TRACE_LABELS: dict[str, tuple[str, ...]] = {
+    direction: tuple(STAGE_KINDS[kind].trace_label.format(r) for kind, r in schedule)
+    for direction, schedule in SCHEDULES.items()
+}
+
 # Reverse lookup (direction, trace label) -> (kind, round index) of every
 # scheduled stage.  Round and FinalRound share the trace label "Round<r>".
 TRACE_LABELS: dict[tuple[str, str], tuple[str, int]] = {
-    (direction, STAGE_KINDS[kind].trace_label.format(r)): (kind, r)
-    for direction, schedule in SCHEDULES.items() for kind, r in schedule
+    (direction, label): stage for direction, schedule in SCHEDULES.items()
+    for label, stage in zip(SCHEDULE_TRACE_LABELS[direction], schedule, strict=True)
 }
 
 
@@ -171,27 +182,6 @@ class EquationSystem:
         }
 
 
-def _composed_round_equations(sb: Sequence[Anf]) -> tuple[Anf, ...]:
-    """Full-round equations: column mix of row-shifted substituted bits."""
-    mc = aes.mixcolumns_equations(STATE_SPACE)
-    bindings = {j: sb[aes.SHIFTROWS_SOURCE[j]] for j in range(aes.BLOCK_BITS)}
-    return tuple(mc[i].substitute(bindings) for i in range(aes.BLOCK_BITS))
-
-
-def _final_round_equations(sb: Sequence[Anf]) -> tuple[Anf, ...]:
-    return tuple(sb[aes.SHIFTROWS_SOURCE[i]] for i in range(aes.BLOCK_BITS))
-
-
-def _inv_round_equations() -> tuple[Anf, ...]:
-    """Byte-inverse of the shifted state: substitution applied after the
-    inverse row shift, kept separate from the inverse column mix.  The
-    shift moves whole bytes, so each coordinate is placed by the offset of
-    its source byte."""
-    coords = aes.inv_sbox_coordinate_anfs()
-    return tuple(coords[i % 8].rename(aes.INV_SHIFTROWS_SOURCE[i - i % 8], width=aes.BLOCK_BITS)
-                 for i in range(aes.BLOCK_BITS))
-
-
 def _scheduled_system(direction: str, equations: dict[str, tuple[Anf, ...]]) -> EquationSystem:
     """The system of ``SCHEDULES[direction]``; every stage of a kind shares
     that kind's equations."""
@@ -202,33 +192,42 @@ def _scheduled_system(direction: str, equations: dict[str, tuple[Anf, ...]]) -> 
 def build_encryption_system() -> EquationSystem:
     """The 21 encryption stages, each AddRoundKey introducing a fresh key set."""
     sb = aes.subbytes_equations(STATE_SPACE)
+    final = tuple(sb[src] for src in aes.SHIFTROWS_SOURCE)
+    bindings = dict(enumerate(final))
     return _scheduled_system("enc", {
         ADD_ROUND_KEY: tuple(aes.addroundkey_equations(ARK_SPACE)),
-        ROUND: _composed_round_equations(sb),
-        FINAL_ROUND: _final_round_equations(sb),
+        ROUND: tuple(eq.substitute(bindings) for eq in aes.mixcolumns_equations(STATE_SPACE)),
+        FINAL_ROUND: final,
     })
 
 
 def build_decryption_system() -> EquationSystem:
     """The 30 decryption stages, inverse bytes placed after the inverse shift."""
+    isb = aes.inv_subbytes_equations(STATE_SPACE)
     return _scheduled_system("dec", {
         ADD_ROUND_KEY: tuple(aes.addroundkey_equations(ARK_SPACE)),
-        INV_ROUND: _inv_round_equations(),
+        # a bytewise substitution commutes with moving whole bytes
+        INV_ROUND: tuple(isb[src] for src in aes.INV_SHIFTROWS_SOURCE),
         INV_MIX_COLUMNS: tuple(aes.inv_mixcolumns_equations(STATE_SPACE)),
     })
 
 
-def _stage_outputs(system: EquationSystem, blocks: Sequence[bytes],
-                   keys: Sequence[bytes]) -> Iterator[np.ndarray]:
-    """Run every (block, key) pair through the stages at once; yields each
-    stage's output as ``(N, 16)`` ``uint8`` block rows, in order."""
+def _input_rows(blocks: Sequence[bytes], keys: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """Check every block and expand every key: the ``(N, 16)`` block rows
+    and the ``(N, 11, 16)`` round keys of the (block, key) pairs."""
     for block in blocks:
         aes.check_block(block)
     state = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, aes.BLOCK_BYTES)
-    # (N, 11, 16): the round keys of every pair
     round_keys = np.frombuffer(
         b"".join(b"".join(aes.reference_key_schedule(k)) for k in keys),
         dtype=np.uint8).reshape(len(keys), len(ROUND_INDICES), aes.BLOCK_BYTES)
+    return state, round_keys
+
+
+def _stage_outputs(system: EquationSystem, state: np.ndarray,
+                   round_keys: np.ndarray) -> Iterator[np.ndarray]:
+    """Run the input rows of ``_input_rows`` through the stages at once;
+    yields each stage's output as ``(N, 16)`` ``uint8`` block rows, in order."""
     for stage, kernel in zip(system.stages, system.kernels):
         if stage.key_width:
             state = np.concatenate((state, round_keys[:, stage.round_index]), axis=1)
@@ -245,7 +244,7 @@ def evaluate_system(system: EquationSystem, block: bytes,
     of one.
     """
     output, trace = block, []
-    for stage, state in zip(system.stages, _stage_outputs(system, [block], [key])):
+    for stage, state in zip(system.stages, _stage_outputs(system, *_input_rows([block], [key]))):
         output = state.tobytes()
         trace.append((stage.trace_label, output.hex()))
     return output, trace
@@ -262,20 +261,21 @@ def evaluate_system_batch(system: EquationSystem, blocks: Sequence[bytes],
     """
     if len(blocks) != len(keys):
         raise ValueError("need one key per block")
-    if not blocks:
-        return []
-    for state in _stage_outputs(system, blocks, keys):
+    state, round_keys = _input_rows(blocks, keys)
+    for state in _stage_outputs(system, state, round_keys):   # no stages: the input rows
         pass
     raw = state.tobytes()
     return [raw[i:i + aes.BLOCK_BYTES] for i in range(0, len(raw), aes.BLOCK_BYTES)]
 
 
 def reference_trace(direction: str, block: bytes, key: bytes) -> list[tuple[str, str]]:
-    """Byte-level oracle trace with the same labels evaluate_system emits."""
+    """Byte-level oracle trace with the same labels evaluate_system emits:
+    the oracle's states named by the direction's schedule."""
     if direction == "enc":
-        raw = aes.reference_encrypt_trace(block, key)
+        states = aes.reference_encrypt_states(block, key)
     elif direction == "dec":
-        raw = aes.reference_decrypt_trace(block, key)
+        states = aes.reference_decrypt_states(block, key)
     else:
         raise ValueError(f"direction must be 'enc' or 'dec', got {direction!r}")
-    return [(label, state.hex()) for label, state in raw]
+    return [(label, state.hex())
+            for label, state in zip(SCHEDULE_TRACE_LABELS[direction], states, strict=True)]

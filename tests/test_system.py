@@ -97,6 +97,10 @@ def test_final_round_is_shift_of_substitution(enc_system):
     sb = aes.subbytes_equations(system_mod.STATE_SPACE)
     for i in range(128):
         assert final.equations[i] == sb[aes.SHIFTROWS_SOURCE[i]]
+    # the row shift composed over the substitution, by substitution alone
+    bindings = dict(enumerate(sb))
+    assert final.equations == tuple(
+        eq.substitute(bindings) for eq in aes.shiftrows_equations(system_mod.STATE_SPACE))
 
 
 def test_inv_round_is_substitution_after_inverse_shift(dec_system):
@@ -210,6 +214,10 @@ def test_single_evaluation_matches_batch(enc_system):
         assert single == out
 
 
+def test_an_empty_batch_returns_no_blocks(enc_system):
+    assert system_mod.evaluate_system_batch(enc_system, [], []) == []
+
+
 def test_batch_requires_matching_lengths(enc_system):
     with pytest.raises(ValueError):
         system_mod.evaluate_system_batch(enc_system, [PLAIN], [])
@@ -227,3 +235,22 @@ def test_evaluation_rejects_wrong_block_length(enc_system, length):
 def test_reference_trace_validates_direction():
     with pytest.raises(ValueError):
         system_mod.reference_trace("sideways", PLAIN, KEY)
+
+
+def test_reference_trace_rejects_a_state_count_off_its_schedule(monkeypatch):
+    states = aes.reference_encrypt_states(PLAIN, KEY)
+    monkeypatch.setattr(aes, "reference_encrypt_states", lambda block, key: states[:-1])
+    with pytest.raises(ValueError):
+        system_mod.reference_trace("enc", PLAIN, KEY)
+
+
+@pytest.mark.parametrize("direction", ["enc", "dec"])
+def test_a_system_without_stages_returns_its_checked_blocks(direction):
+    empty = system_mod.EquationSystem(direction, ())
+    blocks, keys = random_pairs(3, 29)
+    assert system_mod.evaluate_system_batch(empty, blocks, keys) == blocks
+    assert system_mod.evaluate_system(empty, PLAIN, KEY) == (PLAIN, [])
+    with pytest.raises(ValueError, match="16 bytes"):
+        system_mod.evaluate_system(empty, PLAIN[:15], KEY)
+    with pytest.raises(ValueError, match="16 bytes"):
+        system_mod.evaluate_system_batch(empty, [PLAIN, PLAIN[:15]], [KEY, KEY])
