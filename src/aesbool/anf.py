@@ -30,7 +30,9 @@ truth tables: each monomial within one input byte is a coefficient of
 that byte's 256-entry table, and the package's one subset-XOR transform,
 ``_mobius_words``, turns the coefficients into the tables.  Every stage of
 the AES systems has only such monomials, so a stage is an XOR of table
-lookups, one per input byte.
+lookups, one per input byte.  The lookups of all output words form one
+flat plan over one concatenated table run, so a stage costs one gather and
+one XOR reduce whether the batch holds one block or many.
 """
 
 from __future__ import annotations
@@ -431,9 +433,9 @@ def _mobius_words(words, arity: int):
 
 def _word_tables(equations: Sequence[Anf], nbytes: int) -> tuple:
     """The part of a :class:`Kernel` for up to 32 equations, one output word:
-    the input bytes whose tables touch it, their offsets into the run of
-    those tables, the run, the constant word, and the residual monomials
-    as byte rows with the outputs that XOR each."""
+    the input bytes whose tables touch it, those bytes' ``(bytes, 256)``
+    tables, the constant word, and the residual monomials as byte rows with
+    the outputs that XOR each."""
     # each equation's terms as rows of the distinct monomials, and the bytes
     # of those, byte c carrying x_{8c+i} at bit i (one byte more than the
     # width needs, so that there is one)
@@ -466,8 +468,13 @@ def _word_tables(equations: Sequence[Anf], nbytes: int) -> tuple:
     cross, slot = np.unique(term_rows[spread > 1], return_inverse=True)
     selector = np.zeros((len(cross), 32), dtype=np.uint8)
     selector[slot, owner[spread > 1]] = 1
-    return (used, 256 * np.arange(len(used)), tables[used].ravel(),
-            np.packbits(constant).view("<u4")[0], _REVERSED_BYTE[raw[cross, :nbytes]], selector)
+    return (used, tables[used], np.packbits(constant).view("<u4")[0],
+            _REVERSED_BYTE[raw[cross, :nbytes]], selector)
+
+
+# rows gathered at a time: the gather's intp index, 8 bytes per (word,
+# lookup, row), stays a few MB however large the batch
+_ROW_BLOCK = 4096
 
 
 class Kernel:
@@ -480,8 +487,15 @@ class Kernel:
     transform turns coefficients into tables.  An equation is then one
     lookup per input byte, its constant and the residual, its monomials
     over two or more bytes (no built system has one), XORed.  The tables of
-    32 outputs share one ``uint32`` word per (byte, value); each output
-    word gathers only the bytes whose tables touch it.
+    32 outputs share one ``uint32`` word per (byte, value).
+
+    The whole kernel is one lookup plan: for each (output word, lookup) the
+    input column and the offset of its table in one concatenated run.
+    Every word has the same lookup count; a word with fewer reads column 0
+    through the all-zero table that ends the run.  A call is one gather,
+    lookup-major so that the XOR reduce runs along rows of samples, and one
+    constant XOR; the residual is multiplied out only for the words that
+    have one.
     """
 
     def __init__(self, equations: Sequence[Anf]):
@@ -491,9 +505,22 @@ class Kernel:
                 raise ValueError("equations span different variable spaces")
         self.width = width
         self.outputs = len(equations)
-        self._words = [_word_tables(equations[k:k + 32], -(-width // 8))
-                       for k in range(0, self.outputs, 32)]
-        self._constant = np.array([word[3] for word in self._words], dtype="<u4")
+        words = [_word_tables(equations[k:k + 32], -(-width // 8))
+                 for k in range(0, self.outputs, 32)]
+        self._lookups = max((len(word[0]) for word in words), default=0)
+        self._table = np.concatenate([*(word[1] for word in words),
+                                      np.zeros((1, 256), dtype="<u4")]).ravel()
+        columns = np.zeros((len(words), self._lookups), dtype=np.intp)
+        offsets = np.full((len(words), self._lookups), len(self._table) - 256, dtype=np.intp)
+        start = 0
+        for w, (used, *_) in enumerate(words):
+            columns[w, :len(used)] = used
+            offsets[w, :len(used)] = 256 * np.arange(start, start + len(used))
+            start += len(used)
+        self._columns, self._offsets = columns.ravel(), offsets.reshape(-1, 1)
+        self._constant = np.array([word[2] for word in words], dtype="<u4").reshape(-1, 1)
+        self._residual = [(w, masks, selector) for w, (*_, masks, selector) in enumerate(words)
+                          if len(masks)]
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
         """Evaluate on ``(N, ceil(width / 8))`` ``uint8`` input rows.
@@ -502,15 +529,22 @@ class Kernel:
         """
         if rows.ndim != 2 or rows.shape[1] != -(-self.width // 8):
             raise ValueError(f"expected rows of {-(-self.width // 8)} bytes, got shape {rows.shape}")
-        out = np.empty((len(rows), len(self._words)), dtype="<u4")
-        for w, (used, offsets, table, _, masks, selector) in enumerate(self._words):
-            np.bitwise_xor.reduce(table[rows[:, used] + offsets], axis=1, out=out[:, w])
-            if len(masks):
-                products = (rows[:, None, :] & masks == masks).all(axis=2).view(np.uint8)
+        if rows.dtype != np.uint8:
+            raise ValueError(f"expected uint8 rows, got {rows.dtype}")
+        words = len(self._constant)
+        out = np.zeros((words, len(rows)), dtype="<u4")
+        for start in range(0, len(rows), _ROW_BLOCK):
+            block = rows[start:start + _ROW_BLOCK]
+            part = out[:, start:start + _ROW_BLOCK]
+            if self._lookups:
+                gathered = self._table[block.T[self._columns] + self._offsets]
+                np.bitwise_xor.reduce(gathered.reshape(words, self._lookups, -1), axis=1, out=part)
+            for w, masks, selector in self._residual:
+                products = (block[:, None, :] & masks == masks).all(axis=2).view(np.uint8)
                 # uint8 sums wrap modulo 256, which keeps their parity
-                out[:, w] ^= np.packbits((products @ selector) & 1, axis=1).view("<u4")[:, 0]
+                part[w] ^= np.packbits((products @ selector) & 1, axis=1).view("<u4")[:, 0]
         out ^= self._constant
-        return out.view(np.uint8)[:, :-(-self.outputs // 8)]
+        return np.ascontiguousarray(out.T).view(np.uint8)[:, :-(-self.outputs // 8)]
 
 
 def batch_evaluate(equations: Sequence[Anf], inputs: Sequence[int]) -> list[int]:

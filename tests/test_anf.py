@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aesbool import aes
-from aesbool.anf import Anf, Kernel, TermLimitError, VarSpace, batch_evaluate
+from aesbool.anf import _ROW_BLOCK, Anf, Kernel, TermLimitError, VarSpace, batch_evaluate
 from aesbool.boolfn import TruthTable, anf_from_truth_table, truth_table_from_anf
 
 
@@ -573,6 +573,52 @@ def test_kernel_rejects_wrong_column_count():
         kernel(np.zeros((1, 2), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("rows", [np.array([[0x180, 0]], dtype=np.int64),
+                                  np.array([[-1, 0]], dtype=np.int8)], ids=["int64", "negative"])
+def test_kernel_rejects_rows_that_are_not_uint8(rows):
+    # read as table indices, 0x180 would land in byte 1's table and -1 at
+    # the end of the table run: bits of the wrong byte
+    kernel = Kernel([Anf.variable(16, 0), Anf.variable(16, 8)])
+    with pytest.raises(ValueError, match="uint8"):
+        kernel(rows)
+
+
+def _row_points(rows, width):
+    """Each ``uint8`` row as an int mask: bit 7-i of byte c is x_{8c+i}, and
+    the bits past the width meet no variable."""
+    return [int("".join(map(str, row[:width][::-1])) or "0", 2)
+            for row in np.unpackbits(rows, axis=1).tolist()]
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000, _ROW_BLOCK + 1])
+def test_kernel_words_of_every_lookup_count_match_evaluate_mask(n):
+    # five output words over 5 bytes: one byte, every byte, constants only,
+    # zero, and residual only (a partial word); all but the second read the
+    # all-zero pad table, and N past one row block leaves a block of one row
+    rng = random.Random(14)
+    width = 40
+
+    def within(c):
+        return (rng.getrandbits(8) or 1) << 8 * c
+
+    def spanning():
+        a, b = rng.sample(range(5), 2)
+        return within(a) | within(b)
+
+    equations = [*(Anf(width, [within(2) for _ in range(3)]) for _ in range(32)),
+                 *(Anf(width, [*map(within, range(5)), *[0] * (j % 2)]) for j in range(32)),
+                 *(Anf.one(width) if j % 3 else Anf.zero(width) for j in range(32)),
+                 *(Anf.zero(width) for _ in range(32)),
+                 *(Anf(width, [spanning() for _ in range(3)]) for _ in range(12))]
+    rows = np.frombuffer(rng.randbytes(n * 5), dtype=np.uint8).reshape(n, 5)
+    out = Kernel(equations)(rows)
+    assert out.shape == (n, 18)
+    bits = np.unpackbits(out, axis=1)
+    assert not bits[:, len(equations):].any()
+    assert bits[:, :len(equations)].tolist() == [[eq.evaluate_mask(x) for eq in equations]
+                                                 for x in _row_points(rows, width)]
+
+
 def test_batch_evaluate_empty():
     assert batch_evaluate([Anf.one(4)], []) == []
 
@@ -661,10 +707,7 @@ def table_kernel_batches(draw):
 @given(table_kernel_batches())
 def test_property_table_kernel_agrees_with_evaluate_mask(case):
     equations, rows = case
-    width = equations[0].width if equations else 0
-    # bit 7-i of byte c is x_{8c+i}; the bits past the width meet no variable
-    points = [int("".join(map(str, row[:width][::-1])) or "0", 2)
-              for row in np.unpackbits(rows, axis=1).tolist()]
+    points = _row_points(rows, equations[0].width if equations else 0)
     out = Kernel(equations)(rows)
     assert out.shape == (len(rows), -(-len(equations) // 8))
     bits = np.unpackbits(out, axis=1)

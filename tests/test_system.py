@@ -214,6 +214,14 @@ def test_single_evaluation_matches_batch(enc_system):
         assert single == out
 
 
+def test_single_evaluation_matches_batch_dec(dec_system):
+    blocks, keys = random_pairs(5, 29)
+    outs = system_mod.evaluate_system_batch(dec_system, blocks, keys)
+    for block, key, out in zip(blocks, keys, outs):
+        single, _ = system_mod.evaluate_system(dec_system, block, key)
+        assert single == out
+
+
 def test_an_empty_batch_returns_no_blocks(enc_system):
     assert system_mod.evaluate_system_batch(enc_system, [], []) == []
 
