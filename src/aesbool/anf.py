@@ -14,6 +14,12 @@ variable 0 in the most significant position.  Printing (``mask_strings``,
 use it.  It is materialized only when needed; the working representation
 is an unordered frozenset.
 
+A dense ANF from ``boolfn.anf_from_truth_table`` starts out as the
+transform's ``uint32`` mask array instead: ``terms`` builds the set on
+first access and drops the array, so exactly one of the two is ever the
+source.  Until then only ``term_count``, ``evaluate_mask`` and
+``boolfn.truth_table_from_anf`` read the array.
+
 Whole masks are the unit of work wherever a layout allows it: renaming
 groups the used variables by the distance each one moves and shifts the
 masks' bits of a group at once (an offset is one group, so it shifts each
@@ -23,7 +29,8 @@ mask whole), and ``from_bit_rows`` builds each mask from its row's
 Evaluation at one point x uses the identity the Moebius transform rests
 on, f(x) = XOR of a_u over u within x: ``evaluate_mask`` looks up the
 subsets of x in the term set or scans the T terms, whichever is fewer, so
-a point costs min(T, 2^|x|).
+a point costs min(T, 2^|x|) once the set exists; on a mask array it is
+one O(T) numpy scan.
 
 Evaluation over a batch compiles equations into a ``Kernel`` of per-byte
 truth tables: each monomial within one input byte is a coefficient of
@@ -140,23 +147,43 @@ def _xor_fold(masks: Iterable[int]) -> frozenset[int]:
 
 
 class Anf:
-    """An XOR-set of monomial masks over a variable space of fixed width."""
+    """An XOR-set of monomial masks over a variable space of fixed width.
 
-    __slots__ = ("width", "terms")
+    ``_terms`` takes the canonical masks as they are: a frozenset, or the
+    distinct masks as a ``uint32`` array that the ANF then owns and turns
+    into the set on first access to ``terms``.
+    """
 
-    def __init__(self, width: int, terms: Iterable[int] = (), *, _terms: frozenset[int] | None = None):
+    __slots__ = ("width", "_terms", "_masks")
+
+    def __init__(self, width: int, terms: Iterable[int] = (), *,
+                 _terms: frozenset[int] | np.ndarray | None = None):
         if width < 0:
             raise ValueError("width must be non-negative")
         self.width = width
-        if _terms is not None:
-            self.terms = _terms
+        self._masks = None
+        if isinstance(_terms, np.ndarray):
+            self._masks = _terms
+        elif _terms is not None:
+            self._terms = _terms
         else:
             folded = _xor_fold(terms)
             limit = (1 << width) - 1
             for m in folded:
                 if m < 0 or m > limit:
                     raise ValueError(f"monomial mask {m:#x} outside space of width {width}")
-            self.terms = folded
+            self._terms = folded
+
+    @property
+    def terms(self) -> frozenset[int]:
+        """The monomial masks, built from the mask array on first access."""
+        masks = self._masks
+        if masks is not None:
+            # a frozenset builds faster from ascending ints; the set is in
+            # place before the array goes, so a reader finds one of them
+            self._terms = frozenset(np.sort(masks).tolist())
+            self._masks = None
+        return self._terms
 
     # -- constructors ---------------------------------------------------
 
@@ -186,7 +213,8 @@ class Anf:
         return not self.terms
 
     def term_count(self) -> int:
-        return len(self.terms)
+        masks = self._masks
+        return len(self.terms if masks is None else masks)
 
     def degree(self) -> int:
         """Largest monomial size; -1 for the zero function."""
@@ -364,12 +392,19 @@ class Anf:
         """Evaluate at an assignment packed as an int (bit i = x_i).
 
         f(x) = XOR of the coefficients a_u over the monomials u within x,
-        the Moebius transform read backwards, so the cost is
-        min(T, 2^|x|) for T terms: the walk over the 2^|x| subsets of x
-        when that is shorter, else the scan over the terms.  Bits at or
-        above the width meet no term; a negative ``ones`` sets them all.
+        the Moebius transform read backwards, so once the term set exists
+        the cost is min(T, 2^|x|) for T terms: the walk over the 2^|x|
+        subsets of x when that is shorter, else the scan over the terms.
+        Before it exists, the mask array is scanned at once in numpy, O(T).
+        Bits at or above the width meet no term; a negative ``ones`` sets
+        them all.
         """
-        ones &= (1 << self.width) - 1
+        full = (1 << self.width) - 1
+        ones &= full
+        masks = self._masks
+        if masks is not None:
+            # the masks within x are those with no bit outside it
+            return (len(masks) - np.count_nonzero(masks & (full ^ ones))) & 1
         terms = self.terms
         if 1 << ones.bit_count() < len(terms):
             acc = 0
@@ -401,7 +436,7 @@ class Anf:
         return hash((self.width, self.terms))
 
     def __repr__(self):
-        return f"Anf(width={self.width}, terms={len(self.terms)})"
+        return f"Anf(width={self.width}, terms={self.term_count()})"
 
     def to_str(self) -> str:
         """Human-readable sum of monomials in canonical order."""

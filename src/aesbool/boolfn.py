@@ -57,7 +57,7 @@ class TruthTable:
         return cls(n, np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0"))
 
     def to_string(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return (self.bits + ord("0")).tobytes().decode("ascii")
 
     def __eq__(self, other):
         if not isinstance(other, TruthTable):
@@ -119,24 +119,34 @@ def mobius_transform(tt: TruthTable) -> TruthTable:
 
 
 def anf_from_truth_table(tt: TruthTable) -> Anf:
-    """Unique ANF of the function: one monomial per 1 in the transform."""
+    """Unique ANF of the function: one monomial per 1 in the transform.
+
+    The ANF keeps the monomial masks as the ``uint32`` array found here,
+    unsorted, and builds its term set only when something reads it.
+    """
     # numpy finds the nonzero entries of a bool array faster
     masks = _reverse_bits(
         np.flatnonzero(_transform_bits(tt.bits, tt.arity).view(bool)).astype(np.uint32), tt.arity)
-    masks.sort()  # a frozenset builds faster from ascending ints
-    masks = masks.tolist()  # the array goes before the set is built
-    return Anf(tt.arity, _terms=frozenset(masks))
+    return Anf(tt.arity, _terms=masks)
 
 
 def truth_table_from_anf(anf: Anf, arity: int) -> TruthTable:
-    """Evaluate an ANF on all 2^n inputs: the transform of its coefficients."""
+    """Evaluate an ANF on all 2^n inputs: the transform of its coefficients.
+
+    An ANF that still holds its mask array is read from a copy of it, and
+    its term set stays unbuilt.
+    """
     if not 1 <= arity <= MAX_ARITY:
         raise ValueError(f"arity must be in 1..{MAX_ARITY}, got {arity}")
     # the largest mask holds the highest variable; a space within the arity holds none beyond
     if anf.width > arity and anf.terms and max(anf.terms) >> arity:
         raise ValueError(f"ANF uses variable {max(anf.terms).bit_length() - 1},"
                          f" outside arity {arity}")
-    masks = np.fromiter(anf.terms, dtype=np.uint32, count=len(anf.terms))
+    masks = anf._masks
+    if masks is None:
+        masks = np.fromiter(anf.terms, dtype=np.uint32, count=len(anf.terms))
+    else:   # a copy, which the reversal below overwrites
+        masks = masks.copy()
     coefficients = np.zeros(1 << arity, dtype=np.uint8)
     coefficients[_reverse_bits(masks, arity)] = 1
     return TruthTable._unchecked(arity, _transform_bits(coefficients, arity))

@@ -83,10 +83,9 @@ def render_manifest(direction: str, stages: list[tuple[str, str]]) -> str:
     """Manifest text of a system from its (trace label, kind) stages."""
     lines = [_MANIFEST_HEADER.format(direction)]
     for index, (label, kind) in enumerate(stages):
-        space = STAGE_KINDS[kind].space
-        state = space.length("state")
-        lines.append(f"stage {index} {label} state_width={state}"
-                     f" key_width={space.width - state}\n")
+        stage_kind = STAGE_KINDS[kind]
+        lines.append(f"stage {index} {label} state_width={stage_kind.state_width}"
+                     f" key_width={stage_kind.key_width}\n")
     return "".join(lines)
 
 

@@ -34,26 +34,42 @@ STATE_SPACE = VarSpace([("state", 128)])
 ARK_SPACE = VarSpace([("state", 128), ("key", 128)])
 
 
+ROUND_INDICES = range(11)   # AES-128 rounds 0..10
+
+
 class StageKind(NamedTuple):
-    """What a stage kind fixes; the label formats take the round index."""
+    """What a stage kind fixes; the label formats take the round index.
+
+    The widths and the trace label of every round index are derived once,
+    by ``_stage_kind``, so that evaluation reads them instead of
+    recomputing them for each stage.
+    """
 
     space: VarSpace
     gen_label: str          # progress line printed while generating files
     trace_label: str        # line printed while evaluating, and the directory name
+    state_width: int
+    key_width: int
+    trace_labels: tuple[str, ...]   # trace_label formatted for each round index
+
+
+def _stage_kind(space: VarSpace, gen_label: str, trace_label: str) -> StageKind:
+    state = space.length("state")
+    return StageKind(space, gen_label, trace_label, state, space.width - state,
+                     tuple(map(trace_label.format, ROUND_INDICES)))
 
 
 # The one table of stage kinds; the constants below name its keys in order.
 STAGE_KINDS = {
-    "AddRoundKey": StageKind(ARK_SPACE, "AddRoundKey{}", "addRoundKey{}"),
-    "Round": StageKind(STATE_SPACE, "Round{}", "Round{}"),
-    "FinalRound": StageKind(STATE_SPACE, "Round{}", "Round{}"),
-    "InvRound": StageKind(STATE_SPACE, "Round {}", "Round{}"),
-    "InvMixColumns": StageKind(STATE_SPACE, "InvMixColumns {}", "invMixColumns{}"),
+    "AddRoundKey": _stage_kind(ARK_SPACE, "AddRoundKey{}", "addRoundKey{}"),
+    "Round": _stage_kind(STATE_SPACE, "Round{}", "Round{}"),
+    "FinalRound": _stage_kind(STATE_SPACE, "Round{}", "Round{}"),
+    "InvRound": _stage_kind(STATE_SPACE, "Round {}", "Round{}"),
+    "InvMixColumns": _stage_kind(STATE_SPACE, "InvMixColumns {}", "invMixColumns{}"),
 }
 ADD_ROUND_KEY, ROUND, FINAL_ROUND, INV_ROUND, INV_MIX_COLUMNS = STAGE_KINDS
 
 _ROUND_KINDS = (ROUND, FINAL_ROUND, INV_ROUND)
-ROUND_INDICES = range(11)   # AES-128 rounds 0..10
 
 # The one table of stage orders: each system's (kind, round index) stages.
 # Round9 of encryption has no column mix; each decryption round adds its key
@@ -71,7 +87,7 @@ DIRECTIONS = tuple(SCHEDULES)
 
 # Each direction's trace labels in stage order, formatted once here.
 SCHEDULE_TRACE_LABELS: dict[str, tuple[str, ...]] = {
-    direction: tuple(STAGE_KINDS[kind].trace_label.format(r) for kind, r in schedule)
+    direction: tuple(STAGE_KINDS[kind].trace_labels[r] for kind, r in schedule)
     for direction, schedule in SCHEDULES.items()
 }
 
@@ -115,15 +131,15 @@ class Stage:
 
     @property
     def trace_label(self) -> str:
-        return STAGE_KINDS[self.kind].trace_label.format(self.round_index)
+        return STAGE_KINDS[self.kind].trace_labels[self.round_index]
 
     @property
     def state_width(self) -> int:
-        return self.space.length("state")
+        return STAGE_KINDS[self.kind].state_width
 
     @property
     def key_width(self) -> int:
-        return self.space.width - self.state_width
+        return STAGE_KINDS[self.kind].key_width
 
 
 @dataclass(frozen=True)

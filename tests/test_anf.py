@@ -754,3 +754,47 @@ def test_property_bit_rows_round_trip_in_big_endian_mask_order(anf):
     # each row read as a binary number, variable 0 leftmost, ascending
     assert ([int("0" + "".join(map(str, row)), 2) for row in rows.tolist()]
             == sorted(_big_endian(m, anf.width) for m in anf.terms))
+
+
+@st.composite
+def ring_operands(draw):
+    """A width of 0-40 and makers of three fresh ANFs over it: random
+    terms, zero, constant-only, or (for widths 1-8) a dense ANF from
+    ``anf_from_truth_table`` that still holds its mask array."""
+    width = draw(st.integers(0, 40))
+    kinds = ["terms", "zero", "one", *(["dense"] * (1 <= width <= 8))]
+
+    def operand():
+        kind = draw(st.sampled_from(kinds))
+        if kind == "dense":
+            bits = draw(st.lists(st.integers(0, 1), min_size=1 << width, max_size=1 << width))
+            return lambda: anf_from_truth_table(TruthTable(width, bits))
+        terms = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=8)) if kind == "terms" else []
+        return lambda: Anf(width, [0] if kind == "one" else terms)
+
+    return width, [operand() for _ in range(3)], draw(st.integers(0, (1 << width) - 1))
+
+
+@given(ring_operands())
+def test_property_anf_ring_laws(case):
+    width, makers, x = case
+
+    def fresh():   # dense operands enter each law with their sets unbuilt
+        return [make() for make in makers]
+
+    zero, one = Anf.zero(width), Anf.one(width)
+    a, b, c = fresh()
+    assert (a ^ b) ^ c == fresh()[0] ^ (fresh()[1] ^ fresh()[2])
+    a, b, _ = fresh()
+    assert a ^ b == fresh()[1] ^ fresh()[0]
+    assert fresh()[0] ^ zero == a and (fresh()[0] ^ fresh()[0]).is_zero
+    assert fresh()[0] * one == a and one * fresh()[0] == a and (fresh()[0] * zero).is_zero
+    assert fresh()[0] * fresh()[0] == a   # x^2 = x makes every element idempotent
+    assert fresh()[0] * fresh()[1] == fresh()[1] * fresh()[0]
+    a, b, c = fresh()
+    assert a * (b ^ c) == fresh()[0] * fresh()[1] ^ fresh()[0] * fresh()[2]
+    # the laws hold of the functions: sum and product evaluate pointwise
+    a, b, _ = fresh()
+    assert (a ^ b).evaluate_mask(x) == fresh()[0].evaluate_mask(x) ^ fresh()[1].evaluate_mask(x)
+    a, b, _ = fresh()
+    assert (a * b).evaluate_mask(x) == fresh()[0].evaluate_mask(x) & fresh()[1].evaluate_mask(x)

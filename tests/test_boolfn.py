@@ -1,3 +1,4 @@
+import operator
 import random
 
 import numpy as np
@@ -52,6 +53,13 @@ def test_outputs_must_be_bits():
 def test_arity_cap():
     with pytest.raises(ValueError):
         TruthTable(MAX_ARITY + 1, np.zeros(1 << (MAX_ARITY + 1), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_to_string_matches_the_per_bit_join(n):
+    tt = TruthTable(n, np.random.default_rng(1_000 + n).integers(0, 2, 1 << n, dtype=np.uint8))
+    assert tt.to_string() == "".join("1" if b else "0" for b in tt.bits)
+    assert TruthTable.from_string(tt.to_string()) == tt
 
 
 def test_tables_are_immutable():
@@ -305,6 +313,47 @@ def test_property_packed_transform_matches_the_reference(case):
     tt = TruthTable(n, bits)
     assert np.array_equal(mobius_transform(tt).bits, _reference_mobius(bits))
     assert anf_from_truth_table(tt).terms == _reference_terms(bits, n)
+
+
+_ROW_POINTS = {n: [_row_assignment(k, n) for k in range(1 << n)] for n in range(1, 13)}
+
+
+def _array_readers(anf, n):
+    """What the three readers of a dense ANF's mask array give: the term
+    count, the value at every row, and the table."""
+    return (anf.term_count(), [anf.evaluate_mask(x) for x in _ROW_POINTS[n]],
+            truth_table_from_anf(anf, n))
+
+
+@given(tables())
+def test_property_dense_anf_agrees_with_its_term_set_twin(case):
+    n, bits = case
+    twin = Anf(n, _terms=frozenset(_reference_terms(bits, n)))
+    # the twin's values are the table's rows
+    expected = (twin.term_count(), bits.tolist(), truth_table_from_anf(twin, n))
+    assert expected[2] == TruthTable(n, bits)
+    dense = anf_from_truth_table(TruthTable(n, bits))
+    assert _array_readers(dense, n) == expected
+    assert dense._masks is not None   # the readers left the set unbuilt
+    # each comparison builds the set of a fresh dense ANF, which is then
+    # its only source
+    for same in (operator.eq, lambda a, b: hash(a) == hash(b),
+                 lambda a, b: a.degree() == b.degree(),
+                 lambda a, b: np.array_equal(a.bit_rows(), b.bit_rows())):
+        dense = anf_from_truth_table(TruthTable(n, bits))
+        assert same(dense, twin)
+        assert dense._masks is None and dense.terms == twin.terms
+    assert _array_readers(dense, n) == expected
+
+
+def test_round_trip_through_a_table_leaves_the_term_set_unbuilt():
+    tt = TruthTable(12, np.random.default_rng(12).integers(0, 2, 1 << 12, dtype=np.uint8))
+    anf = anf_from_truth_table(tt)
+    count = anf.term_count()
+    # twice: the second call sees the array the first one read
+    assert truth_table_from_anf(anf, 12) == tt and truth_table_from_anf(anf, 12) == tt
+    assert anf._masks is not None and anf.term_count() == count
+    assert repr(anf) == f"Anf(width=12, terms={count})" and anf._masks is not None
 
 
 @pytest.mark.parametrize("n", [1, 6, 7, 20])
