@@ -23,8 +23,9 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 
-from .anf import _REVERSED_BYTES, Anf, VarSpace
-from .boolfn import TruthTable, anf_from_truth_table
+import numpy as np
+
+from .anf import _REVERSED_BYTE, _REVERSED_BYTES, Anf, VarSpace, anfs_from_rows
 
 SBOX = (
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
@@ -260,27 +261,25 @@ def reference_decrypt_states(block: bytes, key: bytes) -> list[bytes]:
 # ---------------------------------------------------------------------------
 # Symbolic per-bit equation builders
 
-def _coordinate_anfs(table) -> tuple[Anf, ...]:
-    coords = []
-    for c in range(8):
-        bits = [(table[x] >> (7 - c)) & 1 for x in range(256)]
-        coords.append(anf_from_truth_table(TruthTable(8, bits)))
-    return tuple(coords)
-
-
 @lru_cache(maxsize=None)
+def _coordinate_anfs() -> tuple[Anf, ...]:
+    """The 8 coordinate ANFs of SBOX, then the 8 of INV_SBOX, from one
+    transform of both tables; row i holds the byte whose bit j, most
+    significant first, is bit j of i."""
+    return tuple(anfs_from_rows(np.array([SBOX, INV_SBOX], dtype=np.uint8).T[_REVERSED_BYTE]))
+
+
 def sbox_coordinate_anfs() -> tuple[Anf, ...]:
     """ANFs of the 8 substitution output bits over an 8-variable space.
 
     Variable j is bit j (MSB first) of the input byte; coordinate c is
     output bit c.
     """
-    return _coordinate_anfs(SBOX)
+    return _coordinate_anfs()[:8]
 
 
-@lru_cache(maxsize=None)
 def inv_sbox_coordinate_anfs() -> tuple[Anf, ...]:
-    return _coordinate_anfs(INV_SBOX)
+    return _coordinate_anfs()[8:]
 
 
 def _bytewise_equations(coords: tuple[Anf, ...], space: VarSpace) -> list[Anf]:

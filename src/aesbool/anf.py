@@ -34,12 +34,15 @@ one O(T) numpy scan.
 
 Evaluation over a batch compiles equations into a ``Kernel`` of per-byte
 truth tables: each monomial within one input byte is a coefficient of
-that byte's 256-entry table, and the package's one subset-XOR transform,
-``_mobius_words``, turns the coefficients into the tables.  Every stage of
+that byte's 256-entry table, and the package's one subset-XOR pass,
+``_subset_xor``, turns the coefficients into the tables.  Every stage of
 the AES systems has only such monomials, so a stage is an XOR of table
 lookups, one per input byte.  The lookups of all output words form one
 flat plan over one concatenated table run, so a stage costs one gather and
-one XOR reduce whether the batch holds one block or many.
+one XOR reduce whether the batch holds one block or many.  The same pass
+does the cross-word steps of ``_mobius_words`` (the transform of
+``boolfn``), and in ``anfs_from_rows`` turns outputs evaluated on all 2^k
+points of k variables into their ANFs.
 """
 
 from __future__ import annotations
@@ -236,9 +239,7 @@ class Anf:
         """Monomial masks as a ``(terms, width)`` 0/1 ``uint8`` matrix in
         canonical order, column j carrying variable j."""
         nbytes = self.width // 8 + 1   # at least one byte, for the zero-width space
-        raw = b"".join(map(operator.methodcaller("to_bytes", nbytes, "little"), self.terms))
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(self.terms), nbytes),
-                             axis=1, bitorder="little")
+        bits = np.unpackbits(_mask_bytes(self.terms, nbytes), axis=1, bitorder="little")
         # the rows as big-endian byte strings, variable 0 most significant,
         # compared byte by byte
         keys = np.packbits(bits, axis=1).view(f"V{nbytes}").ravel()
@@ -447,6 +448,16 @@ class Anf:
     __str__ = to_str
 
 
+def _subset_xor(rows: np.ndarray, k: int) -> np.ndarray:
+    """The subset-XOR transform, in place, of a run of 2^k-row tables along
+    the first axis of ``rows``, whatever the trailing shape: one pass of the
+    halving butterfly per index bit.  Returns ``rows``."""
+    for half in (1 << s for s in range(k)):
+        pairs = rows.reshape(len(rows) // (2 * half), 2 * half, *rows.shape[1:])
+        pairs[:, half:] ^= pairs[:, :half]
+    return rows
+
+
 def _mobius_words(words, arity: int):
     """Subset-XOR transform of 2^arity-row tables packed little-endian into
     64-bit words, bit k of a table's packing being its row k; returns the
@@ -455,15 +466,19 @@ def _mobius_words(words, arity: int):
     A table of one word or less is a Python int, which costs less than
     numpy's fixed overhead per call; a longer one is a ``uint64`` array,
     transformed in place, that may hold a run of tables one after another.
-    Each index bit s < 6 is one in-word step, each higher bit one pass of
-    the halving butterfly across a table's 2^(arity-6) words.
+    Each index bit s < 6 is one in-word step; the higher bits are
+    :func:`_subset_xor` across a table's 2^(arity-6) words.
     """
     for shift, mask in _IN_WORD_STEPS[:arity]:
         words ^= (words & mask) << shift
-    for half in (1 << s for s in range(arity - _WORD_ARITY)):
-        pairs = words.reshape(-1, 2 * half)
-        pairs[:, half:] ^= pairs[:, :half]
-    return words
+    return _subset_xor(words, arity - _WORD_ARITY)
+
+
+def _mask_bytes(masks, nbytes: int) -> np.ndarray:
+    """Int masks as ``(len(masks), nbytes)`` little-endian ``uint8`` rows,
+    bit 8c + i of a mask at bit i of byte c."""
+    raw = b"".join(map(operator.methodcaller("to_bytes", nbytes, "little"), masks))
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
 
 
 def _word_tables(equations: Sequence[Anf], nbytes: int) -> tuple:
@@ -472,31 +487,22 @@ def _word_tables(equations: Sequence[Anf], nbytes: int) -> tuple:
     tables, the constant word, and the residual monomials as byte rows with
     the outputs that XOR each."""
     # each equation's terms as rows of the distinct monomials, and the bytes
-    # of those, byte c carrying x_{8c+i} at bit i (one byte more than the
-    # width needs, so that there is one)
+    # of those (one byte more than the width needs, so that there is one)
     row_of: dict[int, int] = {}
     lengths = [len(eq.terms) for eq in equations]
     term_rows = np.fromiter((row_of.setdefault(m, len(row_of)) for eq in equations for m in eq.terms),
                             dtype=np.intp, count=sum(lengths))
-    owner = np.repeat(np.arange(len(equations)), lengths)
-    raw = np.frombuffer(b"".join(map(operator.methodcaller("to_bytes", nbytes + 1, "little"), row_of)),
-                        dtype=np.uint8).reshape(len(row_of), nbytes + 1)
+    owner = np.repeat(np.arange(len(equations), dtype=np.uint8), lengths)
+    raw = _mask_bytes(row_of, nbytes + 1)
     spread = np.count_nonzero(raw, axis=1)[term_rows]   # the bytes each term spans
     byte = raw.argmax(axis=1)
-    rows = term_rows[spread == 1]
-    # one table per (input byte, output) that has a coefficient
-    pair = 32 * byte[rows] + owner[spread == 1]
-    present = np.zeros(32 * nbytes, dtype=bool)
-    present[pair] = True
-    pairs = np.flatnonzero(present)
-    coefficients = np.zeros((len(pairs), 256), dtype=np.uint8)
-    coefficients[np.cumsum(present)[pair] - 1, _REVERSED_BYTE[raw[rows, byte[rows]]]] = 1
-    packed = np.packbits(coefficients, axis=1, bitorder="little").view("<u8")
-    _mobius_words(packed.reshape(-1), 8)
-    bits = np.zeros((nbytes, 256, 32), dtype=np.uint8)
-    bits[pairs // 32, :, pairs % 32] = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
-    # (byte, value): output 8k+i of the word at bit 8k+7-i
-    tables = np.packbits(bits, axis=2).view("<u4")[:, :, 0]
+    rows, local = term_rows[spread == 1], owner[spread == 1]
+    # each coefficient at (byte, bit-reversed value, output byte), output
+    # 8k+i of the word at bit 7-i of byte k; transformed, these are the tables
+    tables = np.zeros((nbytes, 256, 4), dtype=np.uint8)
+    np.bitwise_xor.at(tables, (byte[rows], _REVERSED_BYTE[raw[rows, byte[rows]]], local >> 3),
+                      0x80 >> (local & 7))
+    tables = _subset_xor(tables.reshape(256 * nbytes, 4), 8).view("<u4").reshape(nbytes, 256)
     used = np.flatnonzero(tables.any(axis=1))
     constant = np.zeros(32, dtype=np.uint8)
     constant[owner[spread == 0]] = 1
@@ -505,6 +511,24 @@ def _word_tables(equations: Sequence[Anf], nbytes: int) -> tuple:
     selector[slot, owner[spread > 1]] = 1
     return (used, tables[used], np.packbits(constant).view("<u4")[0],
             _REVERSED_BYTE[raw[cross, :nbytes]], selector)
+
+
+def anfs_from_rows(rows: np.ndarray) -> list[Anf]:
+    """The ANF of every output bit of ``(2^k, B)`` ``uint8`` value rows, over
+    the k variables that sample i sets: x_v is bit v of i.  Output 8c + i is
+    bit 7 - i of byte c, as in the block convention.
+
+    One subset-XOR transform of a copy makes coefficient row u that of the
+    monomial with mask u, so no bit is reversed.  Each ANF holds its masks
+    as a ``uint32`` array, as those of ``anf_from_truth_table`` do.
+    """
+    count, nbytes = rows.shape
+    k = max(count.bit_length() - 1, 0)
+    if count != 1 << k or rows.dtype != np.uint8:
+        raise ValueError(f"expected 2^k rows of uint8, got {count} rows of {rows.dtype}")
+    coefficients = _subset_xor(rows.copy(), k).T.copy()   # one contiguous row per byte
+    return [Anf(k, _terms=np.flatnonzero(coefficients[j >> 3] & 0x80 >> (j & 7) != 0).astype(np.uint32))
+            for j in range(8 * nbytes)]
 
 
 # rows gathered at a time: the gather's intp index, 8 bytes per (word,
@@ -518,11 +542,12 @@ class Kernel:
     7-i of byte c, and so is output 8c+i.
 
     A monomial within one input byte is a coefficient of that byte's
-    256-entry table, at its bit-reversed local index, and the subset-XOR
-    transform turns coefficients into tables.  An equation is then one
+    256-entry table, at its bit-reversed local index.  Those of 32 outputs
+    are XORed into one ``(bytes, 256, 4)`` ``uint8`` array, output 8k+i at
+    bit 7-i of byte k, which ``_subset_xor`` turns in place into tables
+    read as one ``uint32`` word per (byte, value).  An equation is then one
     lookup per input byte, its constant and the residual, its monomials
-    over two or more bytes (no built system has one), XORed.  The tables of
-    32 outputs share one ``uint32`` word per (byte, value).
+    over two or more bytes (no built system has one), XORed.
 
     The whole kernel is one lookup plan: for each (output word, lookup) the
     input column and the offset of its table in one concatenated run.
@@ -598,6 +623,5 @@ def batch_evaluate(equations: Sequence[Anf], inputs: Sequence[int]) -> list[int]
     if any(ones < 0 or ones >> kernel.width for ones in inputs):
         raise ValueError(f"input mask outside the variable space of width {kernel.width}")
     nbytes = -(-kernel.width // 8)
-    raw = b"".join(ones.to_bytes(nbytes, "little") for ones in inputs).translate(_REVERSED_BYTES)
-    out = kernel(np.frombuffer(raw, dtype=np.uint8).reshape(n, nbytes))
+    out = kernel(_REVERSED_BYTE[_mask_bytes(inputs, nbytes)])
     return [int.from_bytes(row.tobytes().translate(_REVERSED_BYTES), "little") for row in out]

@@ -4,7 +4,7 @@ import pytest
 
 from aesbool import aes
 from aesbool.anf import Anf, VarSpace, batch_evaluate
-from aesbool.boolfn import TruthTable, is_balanced, weight
+from aesbool.boolfn import TruthTable, anf_from_truth_table, is_balanced, weight
 
 from expected_equations import (
     INV_SBOX_BIT0_TERMS,
@@ -302,10 +302,23 @@ def test_sbox_coordinates_match_table_columns():
 
 def test_inv_sbox_coordinates_match_table_columns():
     coords = aes.inv_sbox_coordinate_anfs()
-    for x in range(0, 256, 7):
+    for x in range(256):
         for c in range(8):
             got = coords[c].evaluate_mask(_byte_assignment(x))
             assert got == (aes.INV_SBOX[x] >> (7 - c)) & 1
+
+
+@pytest.mark.parametrize("direction", ["sbox", "inv_sbox"])
+def test_sbox_coordinates_equal_the_per_bit_truth_table_anfs(direction):
+    # the reference: one 8-variable truth table per output bit, variable 0
+    # the most significant bit of the input byte
+    coords = getattr(aes, f"{direction}_coordinate_anfs")()
+    table = aes.SBOX if direction == "sbox" else aes.INV_SBOX
+    assert len(coords) == 8
+    for c in range(8):
+        reference = anf_from_truth_table(TruthTable(8, [(table[x] >> (7 - c)) & 1 for x in range(256)]))
+        assert coords[c].width == 8
+        assert coords[c].terms == reference.terms
 
 
 def test_sbox_coordinates_degree_and_balance():

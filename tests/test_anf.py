@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aesbool import aes
-from aesbool.anf import _ROW_BLOCK, Anf, Kernel, TermLimitError, VarSpace, batch_evaluate
+from aesbool.anf import (_ROW_BLOCK, Anf, Kernel, TermLimitError, VarSpace, anfs_from_rows,
+                         batch_evaluate)
 from aesbool.boolfn import TruthTable, anf_from_truth_table, truth_table_from_anf
 
 
@@ -623,6 +624,48 @@ def test_batch_evaluate_empty():
     assert batch_evaluate([Anf.one(4)], []) == []
 
 
+# points -> ANF: one transform of (2^k, B) value rows
+
+def _truth_table_order(k):
+    """The sample of each truth-table row: row r sets x_v to bit k-1-v of
+    r, sample i sets it to bit v of i."""
+    r = np.arange(1 << k)
+    return sum((r >> (k - 1 - v) & 1) << v for v in range(k))
+
+
+def _column_tables(rows, columns):
+    """Outputs ``columns`` of the rows (output j is bit 7 - j % 8 of byte
+    j // 8) as truth tables."""
+    k = len(rows).bit_length() - 1
+    ordered = rows[_truth_table_order(k)]
+    return [TruthTable(k, ordered[:, j >> 3] >> (7 - j % 8) & 1) for j in columns]
+
+
+def test_anfs_from_rows_at_arity_20_over_16_bytes():
+    # byte c of row i is bits c..c+7 of i, so output 8c+t is x_{c+7-t}, or
+    # zero past x_19; bytes 0 and 15 are random instead
+    i = np.arange(1 << 20)
+    rows = np.stack([(i >> c).astype(np.uint8) for c in range(16)], axis=1)
+    rows[:, [0, 15]] = np.random.default_rng(20).integers(0, 256, (1 << 20, 2), dtype=np.uint8)
+    anfs = anfs_from_rows(rows)
+    assert len(anfs) == 128
+    columns = (0, 3, 7, 120, 124, 127)
+    for j, table in zip(columns, _column_tables(rows, columns)):
+        assert anfs[j] == anf_from_truth_table(table)
+    for j in range(8, 120):
+        c, t = divmod(j, 8)
+        assert anfs[j] == (Anf.variable(20, c + 7 - t) if c + 7 - t < 20 else Anf.zero(20))
+
+
+@pytest.mark.parametrize("rows", [np.zeros((0, 1), dtype=np.uint8), np.zeros((3, 1), dtype=np.uint8),
+                                  np.zeros((12, 2), dtype=np.uint8), np.zeros((4, 1), dtype=np.int64),
+                                  np.zeros((4, 1), dtype=bool)],
+                         ids=["0-rows", "3-rows", "12-rows", "int64", "bool"])
+def test_anfs_from_rows_rejects_counts_off_a_power_of_two_and_rows_not_uint8(rows):
+    with pytest.raises(ValueError):
+        anfs_from_rows(rows)
+
+
 # ---------------------------------------------------------------------------
 # properties (the derandomized profile in conftest.py bounds the examples)
 
@@ -798,3 +841,26 @@ def test_property_anf_ring_laws(case):
     assert (a ^ b).evaluate_mask(x) == fresh()[0].evaluate_mask(x) ^ fresh()[1].evaluate_mask(x)
     a, b, _ = fresh()
     assert (a * b).evaluate_mask(x) == fresh()[0].evaluate_mask(x) & fresh()[1].evaluate_mask(x)
+
+
+@st.composite
+def value_rows(draw):
+    """(2^k, B) ``uint8`` rows for k in 1-12 and B in 1-3: random, all zero
+    (every ANF zero) or all ones (every ANF the constant 1)."""
+    k, nbytes = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    fill = draw(st.sampled_from([None, 0x00, 0xFF]))
+    data = rng.randbytes(nbytes << k) if fill is None else bytes([fill]) * (nbytes << k)
+    return np.frombuffer(data, dtype=np.uint8).reshape(1 << k, nbytes).copy()
+
+
+@given(value_rows())
+def test_property_anfs_from_rows_is_anf_from_truth_table_per_column(rows):
+    before = rows.copy()
+    anfs = anfs_from_rows(rows)
+    assert np.array_equal(rows, before)
+    assert len(anfs) == 8 * rows.shape[1]
+    for anf, table in zip(anfs, _column_tables(rows, range(len(anfs)))):
+        # the masks stay an array until the comparison builds the set
+        assert anf._masks is not None and anf._masks.dtype == np.uint32
+        assert anf == anf_from_truth_table(table)
