@@ -33,16 +33,17 @@ a point costs min(T, 2^|x|) once the set exists; on a mask array it is
 one O(T) numpy scan.
 
 Evaluation over a batch compiles equations into a ``Kernel`` of per-byte
-truth tables: each monomial within one input byte is a coefficient of
-that byte's 256-entry table, and the package's one subset-XOR pass,
-``_subset_xor``, turns the coefficients into the tables.  Every stage of
-the AES systems has only such monomials, so a stage is an XOR of table
-lookups, one per input byte.  The lookups of all output words form one
-flat plan over one concatenated table run, so a stage costs one gather and
-one XOR reduce whether the batch holds one block or many.  The same pass
-does the cross-word steps of ``_mobius_words`` (the transform of
-``boolfn``), and in ``anfs_from_rows`` turns outputs evaluated on all 2^k
-points of k variables into their ANFs.
+truth tables in one pass: each distinct monomial gets a row of the output
+bits that hold it, the row of one within a single input byte is a
+coefficient of that byte's 256-entry table, and the package's one
+subset-XOR pass, ``_subset_xor``, turns the coefficients into the tables.
+Every stage of the AES systems has only such monomials, so a stage is an
+XOR of table lookups, one per input byte.  The lookups of all output words
+form one flat plan over one concatenated table run, so a stage costs one
+gather and one XOR reduce whether the batch holds one block or many.  The
+same pass does the cross-word steps of ``_mobius_words`` (the transform
+of ``boolfn``), and in ``anfs_from_rows`` turns outputs evaluated on all
+2^k points of k variables into their ANFs.
 """
 
 from __future__ import annotations
@@ -481,38 +482,6 @@ def _mask_bytes(masks, nbytes: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
 
 
-def _word_tables(equations: Sequence[Anf], nbytes: int) -> tuple:
-    """The part of a :class:`Kernel` for up to 32 equations, one output word:
-    the input bytes whose tables touch it, those bytes' ``(bytes, 256)``
-    tables, the constant word, and the residual monomials as byte rows with
-    the outputs that XOR each."""
-    # each equation's terms as rows of the distinct monomials, and the bytes
-    # of those (one byte more than the width needs, so that there is one)
-    row_of: dict[int, int] = {}
-    lengths = [len(eq.terms) for eq in equations]
-    term_rows = np.fromiter((row_of.setdefault(m, len(row_of)) for eq in equations for m in eq.terms),
-                            dtype=np.intp, count=sum(lengths))
-    owner = np.repeat(np.arange(len(equations), dtype=np.uint8), lengths)
-    raw = _mask_bytes(row_of, nbytes + 1)
-    spread = np.count_nonzero(raw, axis=1)[term_rows]   # the bytes each term spans
-    byte = raw.argmax(axis=1)
-    rows, local = term_rows[spread == 1], owner[spread == 1]
-    # each coefficient at (byte, bit-reversed value, output byte), output
-    # 8k+i of the word at bit 7-i of byte k; transformed, these are the tables
-    tables = np.zeros((nbytes, 256, 4), dtype=np.uint8)
-    np.bitwise_xor.at(tables, (byte[rows], _REVERSED_BYTE[raw[rows, byte[rows]]], local >> 3),
-                      0x80 >> (local & 7))
-    tables = _subset_xor(tables.reshape(256 * nbytes, 4), 8).view("<u4").reshape(nbytes, 256)
-    used = np.flatnonzero(tables.any(axis=1))
-    constant = np.zeros(32, dtype=np.uint8)
-    constant[owner[spread == 0]] = 1
-    cross, slot = np.unique(term_rows[spread > 1], return_inverse=True)
-    selector = np.zeros((len(cross), 32), dtype=np.uint8)
-    selector[slot, owner[spread > 1]] = 1
-    return (used, tables[used], np.packbits(constant).view("<u4")[0],
-            _REVERSED_BYTE[raw[cross, :nbytes]], selector)
-
-
 def anfs_from_rows(rows: np.ndarray) -> list[Anf]:
     """The ANF of every output bit of ``(2^k, B)`` ``uint8`` value rows, over
     the k variables that sample i sets: x_v is bit v of i.  Output 8c + i is
@@ -542,20 +511,21 @@ class Kernel:
     7-i of byte c, and so is output 8c+i.
 
     A monomial within one input byte is a coefficient of that byte's
-    256-entry table, at its bit-reversed local index.  Those of 32 outputs
-    are XORed into one ``(bytes, 256, 4)`` ``uint8`` array, output 8k+i at
-    bit 7-i of byte k, which ``_subset_xor`` turns in place into tables
-    read as one ``uint32`` word per (byte, value).  An equation is then one
-    lookup per input byte, its constant and the residual, its monomials
-    over two or more bytes (no built system has one), XORed.
+    256-entry table, at its bit-reversed local index.  The compile is one
+    pass over the equations: it gives each distinct monomial a row of
+    output bits, output 8k+i at bit 7-i of byte k, and puts the row of each
+    byte-local monomial into one ``(bytes, 256, 4 * words)`` ``uint8``
+    array, which ``_subset_xor`` turns in place into tables read as one
+    ``uint32`` word per (output word, byte, value).  An equation is then
+    one lookup per input byte, its constant and the residual, its
+    monomials over two or more bytes (no built system has one), XORed.
 
     The whole kernel is one lookup plan: for each (output word, lookup) the
     input column and the offset of its table in one concatenated run.
     Every word has the same lookup count; a word with fewer reads column 0
     through the all-zero table that ends the run.  A call is one gather,
     lookup-major so that the XOR reduce runs along rows of samples, and one
-    constant XOR; the residual is multiplied out only for the words that
-    have one.
+    constant XOR; a residual is multiplied out for all words at once.
     """
 
     def __init__(self, equations: Sequence[Anf]):
@@ -565,22 +535,40 @@ class Kernel:
                 raise ValueError("equations span different variable spaces")
         self.width = width
         self.outputs = len(equations)
-        words = [_word_tables(equations[k:k + 32], -(-width // 8))
-                 for k in range(0, self.outputs, 32)]
-        self._lookups = max((len(word[0]) for word in words), default=0)
-        self._table = np.concatenate([*(word[1] for word in words),
-                                      np.zeros((1, 256), dtype="<u4")]).ravel()
-        columns = np.zeros((len(words), self._lookups), dtype=np.intp)
-        offsets = np.full((len(words), self._lookups), len(self._table) - 256, dtype=np.intp)
-        start = 0
-        for w, (used, *_) in enumerate(words):
-            columns[w, :len(used)] = used
-            offsets[w, :len(used)] = 256 * np.arange(start, start + len(used))
-            start += len(used)
-        self._columns, self._offsets = columns.ravel(), offsets.reshape(-1, 1)
-        self._constant = np.array([word[2] for word in words], dtype="<u4").reshape(-1, 1)
-        self._residual = [(w, masks, selector) for w, (*_, masks, selector) in enumerate(words)
-                          if len(masks)]
+        nbytes, words = -(-width // 8), -(-self.outputs // 32)
+        # each distinct monomial's row of output bits, the constant one at
+        # row 0; an equation's masks are distinct, so no row repeats in an OR
+        row_of = {0: 0}
+        term_rows = [np.fromiter((row_of.setdefault(m, len(row_of)) for m in eq.terms),
+                                 dtype=np.intp, count=len(eq.terms)) for eq in equations]
+        holders = np.zeros((len(row_of), 4 * words), dtype=np.uint8)
+        for j, rows in enumerate(term_rows):
+            holders[rows, j >> 3] |= 0x80 >> (j & 7)
+        # the monomials' bytes, one more than the width needs so that there is one
+        raw = _mask_bytes(row_of, nbytes + 1)
+        spread = np.count_nonzero(raw, axis=1)   # the input bytes each monomial spans
+        local = np.flatnonzero(spread == 1)
+        byte = raw[local].argmax(axis=1)
+        # distinct monomials of one byte have distinct values, so each
+        # coefficient is assigned, not XORed
+        tables = np.zeros((nbytes, 256, 4 * words), dtype=np.uint8)
+        tables[byte, _REVERSED_BYTE[raw[local, byte]]] = holders[local]
+        tables = (_subset_xor(tables.reshape(256 * nbytes, 4 * words), 8).view("<u4")
+                  .reshape(nbytes, 256, words).transpose(2, 0, 1))
+        # each word reads its used bytes' tables in byte order, then the zero table
+        used = tables.any(axis=2)
+        counts = used.sum(axis=1)
+        self._lookups = int(counts.max(initial=0))
+        self._table = np.concatenate([tables[used], np.zeros((1, 256), dtype="<u4")]).ravel()
+        read = (np.arange(self._lookups) < counts[:, None]).ravel()   # word-major
+        self._columns = np.zeros(len(read), dtype=np.intp)
+        self._columns[read] = np.nonzero(used)[1]
+        self._offsets = np.full((len(read), 1), len(self._table) - 256, dtype=np.intp)
+        self._offsets[read, 0] = np.arange(0, len(self._table) - 256, 256)
+        self._constant = holders[0].view("<u4").reshape(-1, 1).copy()
+        # the residual monomials as byte rows, and the outputs that hold each
+        self._residual = _REVERSED_BYTE[raw[spread > 1, :nbytes]]
+        self._selector = np.unpackbits(holders[spread > 1], axis=1)
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
         """Evaluate on ``(N, ceil(width / 8))`` ``uint8`` input rows.
@@ -599,10 +587,10 @@ class Kernel:
             if self._lookups:
                 gathered = self._table[block.T[self._columns] + self._offsets]
                 np.bitwise_xor.reduce(gathered.reshape(words, self._lookups, -1), axis=1, out=part)
-            for w, masks, selector in self._residual:
+            if len(self._residual):   # uint8 sums wrap modulo 256, which keeps their parity
+                masks = self._residual
                 products = (block[:, None, :] & masks == masks).all(axis=2).view(np.uint8)
-                # uint8 sums wrap modulo 256, which keeps their parity
-                part[w] ^= np.packbits((products @ selector) & 1, axis=1).view("<u4")[:, 0]
+                part ^= np.packbits(products @ self._selector & 1, axis=1).view("<u4").T
         out ^= self._constant
         return np.ascontiguousarray(out.T).view(np.uint8)[:, :-(-self.outputs // 8)]
 

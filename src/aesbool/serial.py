@@ -20,8 +20,9 @@ equation's bit rows and writes it whole; the reader views the file's bytes
 as the matrix, checks every row at once and packs the mask columns back
 into the monomial masks.  Only the message for the first bad line is built
 line by line.  The writer gives every stage of one kind the same file for
-a bit, so the reader compares each file with those it already parsed at
-the same (kind, bit) and shares the Anf of an equal one.
+a bit, so the reader goes bit by bit through the stages, compares each
+file with those it already parsed at the same (kind, bit) and shares the
+Anf of an equal one; it keeps the bytes of the current bit only.
 
 Each name in the tree and the manifest text are built by one function
 here, and the reader inverts the writer: it takes only the direction and
@@ -268,29 +269,32 @@ def _read_manifest(manifest: Path) -> tuple[str, list[tuple[str, str, int]]]:
 
 
 def read_system(path) -> EquationSystem:
-    """Rebuild an EquationSystem from a directory write_system produced."""
+    """Rebuild an EquationSystem from a directory write_system produced.
+
+    The files are read bit by bit, each bit through the stages in order:
+    of several faults, the one at the lowest bit, then earliest stage, is
+    reported."""
     root = Path(path)
     direction, entries = _read_manifest(root / MANIFEST_NAME)
-    # Files of one (kind, bit) are byte-identical in every stage the writer
-    # wrote, such as the nine Round stages of an encryption tree.  Each file
-    # is compared with those already parsed there and shares the Anf of an
-    # equal one, so equal stages compare by identity when their kernels and
-    # renderings are deduplicated.
-    parsed: dict[tuple[str, int], list[tuple[bytes, Anf]]] = {}
-    stages = []
-    for index, (label, kind, round_index) in enumerate(entries):
-        width = STAGE_KINDS[kind].space.width
-        prefix = os.path.join(root / _stage_dirname(index, label), "")
-        equations = []
-        for bit, name in enumerate(_BIT_FILENAMES):
+    prefixes = [os.path.join(root / _stage_dirname(index, label), "")
+                for index, (label, _, _) in enumerate(entries)]
+    columns: list[list[Anf]] = [[] for _ in entries]
+    for name in _BIT_FILENAMES:
+        # Files of one (kind, bit) are byte-identical in every stage the
+        # writer wrote, such as the nine Round stages of an encryption tree;
+        # one equal to a file parsed at this bit shares its Anf, so equal
+        # stages compare by identity.  Only this bit's bytes are kept.
+        parsed: dict[str, list[tuple[bytes, Anf]]] = {}
+        for (_, kind, _), prefix, column in zip(entries, prefixes, columns):
             eq_path = prefix + name
             data = _read_bytes(eq_path, "missing equation file")
-            known = parsed.setdefault((kind, bit), [])
+            known = parsed.setdefault(kind, [])
             eq = next((anf for seen, anf in known if seen == data), None)
             if eq is None:
                 _check_ascii(eq_path, data)
-                eq = _parse_equation(data, width, eq_path)
+                eq = _parse_equation(data, STAGE_KINDS[kind].space.width, eq_path)
                 known.append((data, eq))
-            equations.append(eq)
-        stages.append(Stage(kind, round_index, equations))
+            column.append(eq)
+    stages = (Stage(kind, round_index, column)
+              for (_, kind, round_index), column in zip(entries, columns))
     return EquationSystem(direction, tuple(stages))

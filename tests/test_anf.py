@@ -593,9 +593,11 @@ def _row_points(rows, width):
 
 @pytest.mark.parametrize("n", [0, 1, 1000, _ROW_BLOCK + 1])
 def test_kernel_words_of_every_lookup_count_match_evaluate_mask(n):
-    # five output words over 5 bytes: one byte, every byte, constants only,
-    # zero, and residual only (a partial word); all but the second read the
-    # all-zero pad table, and N past one row block leaves a block of one row
+    # six output words over 5 bytes: one byte, every byte, constants only,
+    # zero, residual only, and the fifth's residual plus a constant (a
+    # partial word), so one residual monomial sets outputs in two words; all
+    # but the second read the all-zero pad table, and N past one row block
+    # leaves a block of one row
     rng = random.Random(14)
     width = 40
 
@@ -606,14 +608,16 @@ def test_kernel_words_of_every_lookup_count_match_evaluate_mask(n):
         a, b = rng.sample(range(5), 2)
         return within(a) | within(b)
 
+    residual = [Anf(width, [spanning() for _ in range(3)]) for _ in range(32)]
     equations = [*(Anf(width, [within(2) for _ in range(3)]) for _ in range(32)),
                  *(Anf(width, [*map(within, range(5)), *[0] * (j % 2)]) for j in range(32)),
                  *(Anf.one(width) if j % 3 else Anf.zero(width) for j in range(32)),
                  *(Anf.zero(width) for _ in range(32)),
-                 *(Anf(width, [spanning() for _ in range(3)]) for _ in range(12))]
+                 *residual,
+                 *(eq ^ Anf.one(width) for eq in residual[:12])]
     rows = np.frombuffer(rng.randbytes(n * 5), dtype=np.uint8).reshape(n, 5)
     out = Kernel(equations)(rows)
-    assert out.shape == (n, 18)
+    assert out.shape == (n, 22)
     bits = np.unpackbits(out, axis=1)
     assert not bits[:, len(equations):].any()
     assert bits[:, :len(equations)].tolist() == [[eq.evaluate_mask(x) for eq in equations]

@@ -3,6 +3,7 @@ import os
 import random
 import shutil
 import stat
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -249,6 +250,28 @@ def test_read_errors_name_the_file_as_given(tmp_path, monkeypatch, damage, name,
 def test_round_trip_dec(written, dec_system):
     back = read_system(written / "AES_files_dec")
     assert back == dec_system
+
+
+def test_read_keeps_the_bytes_of_one_bit_at_a_time(written):
+    # the distinct files of the whole enc tree are about 10 MB; those of one
+    # bit are a 128th of that
+    tracemalloc.start()
+    try:
+        read_system(written / "AES_files_enc")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+
+
+def test_read_reports_the_fault_of_the_lowest_bit_first(tmp_path):
+    write_system(_two_stage_system(), tmp_path)
+    root = tmp_path / "AES_files_enc"
+    (root / "00_addRoundKey0" / "bit_007.eq").write_bytes(b"\xff")
+    (root / "01_Round0" / "bit_005.eq").unlink()
+    with pytest.raises(ParseError) as got:
+        read_system(root)
+    assert str(got.value) == f"{root / '01_Round0' / 'bit_005.eq'}: missing equation file"
 
 
 def test_rewriting_a_read_back_system_is_byte_identical(written, tmp_path, monkeypatch):

@@ -206,6 +206,28 @@ def test_large_batches_match_the_reference_cipher_in_bounded_memory(enc_system, 
     assert peak < 4 * n * 11 * 16
 
 
+# each output word's input bytes: its column for InvMixColumns and
+# AddRoundKey (which also reads the column's key bytes), and the bytes the
+# (inverse) row shift brings into the column for the rounds
+_COLUMNS = [[4 * c + r for r in range(4)] for c in range(4)]
+_WORD_BYTES = {
+    "AddRoundKey": [column + [16 + b for b in column] for column in _COLUMNS],
+    "Round": [[0, 5, 10, 15], [3, 4, 9, 14], [2, 7, 8, 13], [1, 6, 11, 12]],
+    "FinalRound": [[0, 5, 10, 15], [3, 4, 9, 14], [2, 7, 8, 13], [1, 6, 11, 12]],
+    "InvRound": [[0, 7, 10, 13], [1, 4, 11, 14], [2, 5, 8, 15], [3, 6, 9, 12]],
+    "InvMixColumns": _COLUMNS,
+}
+
+
+def test_stage_kernels_read_only_the_bytes_of_each_output_word(enc_system, dec_system):
+    # evaluation would still be right if every word read all 16 bytes; the
+    # batch cost rests on each word reading only the four its outputs use
+    for system in (enc_system, dec_system):
+        for stage, kernel in zip(system.stages, system.kernels):
+            assert kernel._lookups == (8 if stage.kind == "AddRoundKey" else 4)
+            assert kernel._columns.reshape(4, -1).tolist() == _WORD_BYTES[stage.kind]
+
+
 def test_single_evaluation_matches_batch(enc_system):
     blocks, keys = random_pairs(5, 23)
     outs = system_mod.evaluate_system_batch(enc_system, blocks, keys)
