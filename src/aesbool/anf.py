@@ -41,9 +41,9 @@ Every stage of the AES systems has only such monomials, so a stage is an
 XOR of table lookups, one per input byte.  The lookups of all output words
 form one flat plan over one concatenated table run, so a stage costs one
 gather and one XOR reduce whether the batch holds one block or many.  The
-same pass does the cross-word steps of ``_mobius_words`` (the transform
-of ``boolfn``), and in ``anfs_from_rows`` turns outputs evaluated on all
-2^k points of k variables into their ANFs.
+same pass runs across the words of ``boolfn``'s transform, and in
+``anfs_from_rows`` turns outputs evaluated on all 2^k points of k
+variables into their ANFs.
 """
 
 from __future__ import annotations
@@ -58,13 +58,6 @@ import numpy as np
 # many AES rounds into one ANF blows up exponentially; failing loudly beats
 # exhausting memory.
 DEFAULT_MAX_TERMS = 1 << 22
-
-# The in-word steps of the transform on a table packed into 64-bit words, one
-# per index bit s < 6: (2^s, the mask of the positions whose bit s is 0).
-_IN_WORD_STEPS = tuple((1 << s, mask) for s, mask in enumerate((
-    0x5555_5555_5555_5555, 0x3333_3333_3333_3333, 0x0F0F_0F0F_0F0F_0F0F,
-    0x00FF_00FF_00FF_00FF, 0x0000_FFFF_0000_FFFF, 0x0000_0000_FFFF_FFFF)))
-_WORD_ARITY = 6
 
 # each byte with its bits in reverse order: variable 8c + i is bit i of
 # byte c in an int mask, bit 7 - i of byte c in a row
@@ -457,22 +450,6 @@ def _subset_xor(rows: np.ndarray, k: int) -> np.ndarray:
         pairs = rows.reshape(len(rows) // (2 * half), 2 * half, *rows.shape[1:])
         pairs[:, half:] ^= pairs[:, :half]
     return rows
-
-
-def _mobius_words(words, arity: int):
-    """Subset-XOR transform of 2^arity-row tables packed little-endian into
-    64-bit words, bit k of a table's packing being its row k; returns the
-    words.
-
-    A table of one word or less is a Python int, which costs less than
-    numpy's fixed overhead per call; a longer one is a ``uint64`` array,
-    transformed in place, that may hold a run of tables one after another.
-    Each index bit s < 6 is one in-word step; the higher bits are
-    :func:`_subset_xor` across a table's 2^(arity-6) words.
-    """
-    for shift, mask in _IN_WORD_STEPS[:arity]:
-        words ^= (words & mask) << shift
-    return _subset_xor(words, arity - _WORD_ARITY)
 
 
 def _mask_bytes(masks, nbytes: int) -> np.ndarray:

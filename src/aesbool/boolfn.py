@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .anf import _WORD_ARITY, Anf, _mobius_words
+from .anf import _REVERSED_BYTES, Anf, _subset_xor
 
 # 2^24 output bits (16 MiB).  Wider functions have no materializable truth
 # table; the AES machinery never needs one.
 MAX_ARITY = 24
+
+# The in-word steps of the transform on a table packed into 64-bit words, one
+# per index bit s < 6: (2^s, the mask of the positions whose bit s is 0).
+_IN_WORD_STEPS = tuple((1 << s, mask) for s, mask in enumerate((
+    0x5555_5555_5555_5555, 0x3333_3333_3333_3333, 0x0F0F_0F0F_0F0F_0F0F,
+    0x00FF_00FF_00FF_00FF, 0x0000_FFFF_0000_FFFF, 0x0000_0000_FFFF_FFFF)))
 
 
 class TruthTable:
@@ -25,13 +31,13 @@ class TruthTable:
     def __init__(self, arity: int, bits):
         if not 1 <= arity <= MAX_ARITY:
             raise ValueError(f"arity must be in 1..{MAX_ARITY}, got {arity}")
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
         if arr.shape != (1 << arity,):
             raise ValueError(
                 f"expected {1 << arity} outputs for arity {arity}, got shape {arr.shape}")
-        if not np.all(arr <= 1):
+        if not np.array_equal(arr, arr != 0):   # each output equal to its truth value
             raise ValueError("outputs must be 0 or 1")
-        arr = arr.copy()
+        arr = arr.astype(np.uint8)
         arr.flags.writeable = False
         self.arity = arity
         self.bits = arr
@@ -50,7 +56,7 @@ class TruthTable:
     def from_string(cls, s: str) -> "TruthTable":
         """Parse an ASCII '0'/'1' string of length 2^n."""
         n = len(s).bit_length() - 1
-        if len(s) != 1 << n or n < 1:
+        if n < 1 or len(s) != 1 << n:
             raise ValueError(f"length {len(s)} is not a power of two >= 2")
         if set(s) - {"0", "1"}:
             raise ValueError("truth table string may only contain 0 and 1")
@@ -73,38 +79,30 @@ class TruthTable:
         return f"TruthTable(arity={self.arity})"
 
 
-# bit b of a 12-bit index moved to bit 11-b
-_REVERSED_12 = sum((np.arange(1 << 12, dtype=np.uint32) >> b & 1) << (11 - b) for b in range(12))
-
-
 def _transform_bits(bits: np.ndarray, arity: int) -> np.ndarray:
-    """The transform of a 0/1 ``uint8`` table, as a new ``uint8`` array."""
+    """The transform of a 0/1 ``uint8`` table, as a new ``uint8`` array, on
+    the packed words ``mobius_transform`` describes.  A table of one word or
+    less is a Python int, which costs less than numpy's fixed overhead."""
     packed = np.packbits(bits, bitorder="little")
-    if arity <= _WORD_ARITY:
-        word = _mobius_words(int.from_bytes(packed.tobytes(), "little"), arity)
-        packed = np.frombuffer(word.to_bytes(8, "little"), dtype=np.uint8)
-    else:
-        packed = _mobius_words(packed.view("<u8"), arity).view(np.uint8)
+    words = int.from_bytes(packed.tobytes(), "little") if arity <= 6 else packed.view("<u8")
+    for shift, mask in _IN_WORD_STEPS[:arity]:
+        words ^= (words & mask) << shift
+    if arity <= 6:
+        packed = np.frombuffer(words.to_bytes(8, "little"), dtype=np.uint8)
+    else:   # the words are a view of the packed bytes, transformed in place
+        _subset_xor(words, arity - 6)
     return np.unpackbits(packed, count=1 << arity, bitorder="little")
 
 
 def _reverse_bits(indices: np.ndarray, arity: int) -> np.ndarray:
-    """Move bit j of each ``uint32`` index to bit arity-1-j, in place.
+    """Bit j of each index moved to bit arity-1-j, as a new ``uint32`` array.
 
     Maps transform rows (x_0 most significant) to monomial masks (x_0
-    least significant) and back, in O(T) for T indices: each index is
-    reversed as 12 or 24 bits, one 12-bit lookup per half, then shifted down.
+    least significant) and back, in O(T) for T indices: reversing every
+    byte and then reading the bytes big-endian reverses all 32 bits.
     """
-    if arity <= 12:
-        indices[:] = _REVERSED_12[indices]
-    else:
-        high = _REVERSED_12[indices >> 12]
-        indices &= 0xFFF
-        indices[:] = _REVERSED_12[indices]
-        indices <<= 12
-        indices |= high
-    indices >>= -arity % 12
-    return indices
+    return np.frombuffer(indices.astype("<u4", copy=False).tobytes().translate(_REVERSED_BYTES),
+                         dtype=">u4") >> (32 - arity)
 
 
 def mobius_transform(tt: TruthTable) -> TruthTable:
@@ -124,7 +122,8 @@ def anf_from_truth_table(tt: TruthTable) -> Anf:
     The ANF keeps the monomial masks as the ``uint32`` array found here,
     unsorted, and builds its term set only when something reads it.
     """
-    # numpy finds the nonzero entries of a bool array faster
+    # numpy finds the nonzero entries of a bool array faster; the intp
+    # indices are freed before the reversal makes its copies
     masks = _reverse_bits(
         np.flatnonzero(_transform_bits(tt.bits, tt.arity).view(bool)).astype(np.uint32), tt.arity)
     return Anf(tt.arity, _terms=masks)
@@ -133,7 +132,7 @@ def anf_from_truth_table(tt: TruthTable) -> Anf:
 def truth_table_from_anf(anf: Anf, arity: int) -> TruthTable:
     """Evaluate an ANF on all 2^n inputs: the transform of its coefficients.
 
-    An ANF that still holds its mask array is read from a copy of it, and
+    An ANF that still holds its mask array is read from it, unchanged, and
     its term set stays unbuilt.
     """
     if not 1 <= arity <= MAX_ARITY:
@@ -145,8 +144,6 @@ def truth_table_from_anf(anf: Anf, arity: int) -> TruthTable:
     masks = anf._masks
     if masks is None:
         masks = np.fromiter(anf.terms, dtype=np.uint32, count=len(anf.terms))
-    else:   # a copy, which the reversal below overwrites
-        masks = masks.copy()
     coefficients = np.zeros(1 << arity, dtype=np.uint8)
     coefficients[_reverse_bits(masks, arity)] = 1
     return TruthTable._unchecked(arity, _transform_bits(coefficients, arity))

@@ -50,6 +50,26 @@ def test_outputs_must_be_bits():
         TruthTable(2, [0, 1, 1])
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: TruthTable(1, np.array([0, 257])), "outputs must be 0 or 1"),
+    (lambda: TruthTable(1, np.array([0, 256])), "outputs must be 0 or 1"),
+    (lambda: TruthTable(1, [0, 1.5]), "outputs must be 0 or 1"),
+    (lambda: TruthTable(1, [0, -1]), "outputs must be 0 or 1"),
+    (lambda: TruthTable.from_string(""), "length 0 is not a power of two >= 2"),
+], ids=["257", "256", "1.5", "-1", "empty-string"])
+def test_outputs_are_checked_before_the_cast(make, message):
+    with pytest.raises(ValueError) as got:
+        make()
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("bits", [[False, True], [0.0, 1.0], np.array([0, 1], dtype=np.int64),
+                                  np.array([1, 0], dtype=np.int8)])
+def test_outputs_equal_to_0_or_1_pass_in_any_dtype(bits):
+    tt = TruthTable(1, bits)
+    assert tt.bits.dtype == np.uint8 and tt.to_string() == "".join(str(int(b)) for b in bits)
+
+
 def test_arity_cap():
     with pytest.raises(ValueError):
         TruthTable(MAX_ARITY + 1, np.zeros(1 << (MAX_ARITY + 1), dtype=np.uint8))
@@ -366,6 +386,11 @@ def test_conversions_leave_inputs_alone_and_return_read_only_tables(n):
     results = [mobius_transform(tt), truth_table_from_anf(anf, n)]
     assert np.array_equal(tt.bits, bits) and anf.terms == terms
     assert results[1] == tt
+    # an ANF that still holds its mask array is read from it, unchanged
+    held = anf_from_truth_table(tt)
+    masks = held._masks.copy()
+    assert truth_table_from_anf(held, n) == tt
+    assert held._masks is not None and np.array_equal(held._masks, masks)
     for result in results:
         assert result.bits.dtype == np.uint8 and result.bits.shape == (1 << n,)
         assert not result.bits.flags.writeable

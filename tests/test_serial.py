@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import os
 import random
@@ -7,6 +8,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aesbool import aes
 from aesbool import serial as serial_mod
@@ -17,6 +20,7 @@ from aesbool.serial import (
     parse_equation_lines,
     read_system,
     render_equation_lines,
+    render_manifest,
     write_system,
 )
 from conftest import run_cli
@@ -671,3 +675,78 @@ def test_line_wrapper_matches_the_per_line_parser(lines):
         assert str(got.value) == str(exc)
     else:
         assert parse_equation_lines(lines, 3, source="eq") == expected
+
+
+# ---------------------------------------------------------------------------
+# read_system on arbitrary bytes in one file of a written tree
+
+@pytest.fixture(scope="module")
+def fuzzed_tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    write_system(_two_stage_system(), root)
+    return root / "AES_files_enc"
+
+
+@st.composite
+def _edits_of(draw, original):
+    """``original`` with up to four runs of up to 8 bytes each overwritten,
+    or replaced by up to 8 bytes, each run at any offset or at a line start
+    (a flag).  The new bytes are ASCII, most of them the file's own: the
+    arbitrary bytes of ``st.binary`` are mostly not."""
+    data = original
+    for _ in range(draw(st.integers(1, 4))):
+        line_starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        start = draw(st.integers(0, len(data)) | st.sampled_from(line_starts))
+        run = bytes(draw(st.lists(st.sampled_from(b"01\n") | st.integers(0, 127), max_size=8)))
+        stop = start + len(run) if draw(st.booleans()) else draw(st.integers(start, start + 8))
+        data = data[:start] + run + data[stop:]
+    return data
+
+
+@contextlib.contextmanager
+def _rewritten(path, data):
+    """``path`` holding the bytes ``data`` draws, arbitrary or edits of its
+    own, until the block ends; yields (original bytes, new bytes)."""
+    original = path.read_bytes()
+    mutant = data.draw(st.binary(max_size=600) | _edits_of(original))
+    path.write_bytes(mutant)
+    try:
+        yield original, mutant
+    finally:
+        path.write_bytes(original)
+
+
+@given(data=st.data())
+def test_property_eq_file_reads_like_the_per_line_reader(fuzzed_tree, data):
+    victim = fuzzed_tree / "01_Round0" / "bit_005.eq"
+    with _rewritten(victim, data) as (_, mutant):
+        try:
+            expected = _per_line_read(mutant, 128, str(victim))
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                read_system(fuzzed_tree)
+            assert str(got.value) == str(exc)
+        else:
+            ark, mix = _two_stage_system().stages
+            equations = list(mix.equations)
+            equations[5] = expected
+            assert read_system(fuzzed_tree) == system_mod.EquationSystem(
+                "enc", (ark, system_mod.Stage("Round", 0, equations)))
+
+
+@given(data=st.data())
+def test_property_manifest_reads_only_as_written(fuzzed_tree, data):
+    # A manifest other than the original may name another valid system over
+    # the same files: "direction=dec", or one stage fewer.  It then reads as
+    # that system, and is byte for byte the manifest the writer writes for it.
+    with _rewritten(fuzzed_tree / "manifest.txt", data) as (original, mutant):
+        try:
+            back = read_system(fuzzed_tree)
+        except ParseError:
+            assert mutant != original
+        else:
+            if mutant == original:
+                assert back == _two_stage_system()
+            rendered = render_manifest(back.direction,
+                                       [(stage.trace_label, stage.kind) for stage in back.stages])
+            assert mutant == rendered.encode("ascii")
