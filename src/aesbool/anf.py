@@ -18,7 +18,11 @@ A dense ANF from ``boolfn.anf_from_truth_table`` starts out as the
 transform's ``uint32`` mask array instead: ``terms`` builds the set on
 first access and drops the array, so exactly one of the two is ever the
 source.  Until then only ``term_count``, ``evaluate_mask`` and
-``boolfn.truth_table_from_anf`` read the array.
+``boolfn.truth_table_from_anf`` read the array.  An equation parsed from a
+canonical ``.eq`` file holds its monomials the same way, as the packed
+block rows of ``bit_rows`` (``_rows``): ``term_count``, ``bit_rows`` and
+the ``Kernel`` compile read them, and ``terms`` builds the set and drops
+them.
 
 Whole masks are the unit of work wherever a layout allows it: renaming
 groups the used variables by the distance each one moves and shifts the
@@ -33,10 +37,11 @@ a point costs min(T, 2^|x|) once the set exists; on a mask array it is
 one O(T) numpy scan.
 
 Evaluation over a batch compiles equations into a ``Kernel`` of per-byte
-truth tables in one pass: each distinct monomial gets a row of the output
-bits that hold it, the row of one within a single input byte is a
-coefficient of that byte's 256-entry table, and the package's one
-subset-XOR pass, ``_subset_xor``, turns the coefficients into the tables.
+truth tables, one output word of 32 equations at a time: each monomial is
+a block row, one within a single input byte sets its equation's output bit
+in the coefficient of its value in that byte's 256-entry table, and the
+package's one subset-XOR pass, ``_subset_xor``, turns the coefficients
+into the tables.
 Every stage of the AES systems has only such monomials, so a stage is an
 XOR of table lookups, one per input byte.  The lookups of all output words
 form one flat plan over one concatenated table run, so a stage costs one
@@ -146,21 +151,26 @@ def _xor_fold(masks: Iterable[int]) -> frozenset[int]:
 class Anf:
     """An XOR-set of monomial masks over a variable space of fixed width.
 
-    ``_terms`` takes the canonical masks as they are: a frozenset, or the
-    distinct masks as a ``uint32`` array that the ANF then owns and turns
-    into the set on first access to ``terms``.
+    ``_terms`` takes the canonical masks as they are: a frozenset, or an
+    array that the ANF then owns and turns into the set on first access to
+    ``terms`` -- the distinct masks as a 1-D ``uint32`` array, or the
+    ``(terms, ceil(width / 8))`` ``uint8`` block rows of ``bit_rows``
+    packed, in canonical order (x_{8c+i} is bit 7-i of byte c).
     """
 
-    __slots__ = ("width", "_terms", "_masks")
+    __slots__ = ("width", "_terms", "_masks", "_rows")
 
     def __init__(self, width: int, terms: Iterable[int] = (), *,
                  _terms: frozenset[int] | np.ndarray | None = None):
         if width < 0:
             raise ValueError("width must be non-negative")
         self.width = width
-        self._masks = None
+        self._masks = self._rows = None
         if isinstance(_terms, np.ndarray):
-            self._masks = _terms
+            if _terms.ndim == 1:
+                self._masks = _terms
+            else:
+                self._rows = _terms
         elif _terms is not None:
             self._terms = _terms
         else:
@@ -173,13 +183,15 @@ class Anf:
 
     @property
     def terms(self) -> frozenset[int]:
-        """The monomial masks, built from the mask array on first access."""
-        masks = self._masks
-        if masks is not None:
-            # a frozenset builds faster from ascending ints; the set is in
-            # place before the array goes, so a reader finds one of them
-            self._terms = frozenset(np.sort(masks).tolist())
+        """The monomial masks, built from the held array on first access."""
+        # the set is in place before the array goes, so a reader finds one of them
+        if self._masks is not None:
+            # a frozenset builds faster from ascending ints
+            self._terms = frozenset(np.sort(self._masks).tolist())
             self._masks = None
+        elif self._rows is not None:
+            self._terms = frozenset(_masks_from_bytes(_reverse_bytes(self._rows)))
+            self._rows = None
         return self._terms
 
     # -- constructors ---------------------------------------------------
@@ -210,8 +222,8 @@ class Anf:
         return not self.terms
 
     def term_count(self) -> int:
-        masks = self._masks
-        return len(self.terms if masks is None else masks)
+        held = self._masks if self._rows is None else self._rows
+        return len(self.terms if held is None else held)
 
     def degree(self) -> int:
         """Largest monomial size; -1 for the zero function."""
@@ -232,28 +244,24 @@ class Anf:
     def bit_rows(self) -> np.ndarray:
         """Monomial masks as a ``(terms, width)`` 0/1 ``uint8`` matrix in
         canonical order, column j carrying variable j."""
+        if self._rows is not None:
+            return np.unpackbits(self._rows, axis=1, count=self.width)
         nbytes = self.width // 8 + 1   # at least one byte, for the zero-width space
-        bits = np.unpackbits(_mask_bytes(self.terms, nbytes), axis=1, bitorder="little")
+        rows = _mask_rows(self.terms, nbytes)
         # the rows as big-endian byte strings, variable 0 most significant,
         # compared byte by byte
-        keys = np.packbits(bits, axis=1).view(f"V{nbytes}").ravel()
-        return bits[np.argsort(keys), :self.width]
+        keys = rows.view(f"V{nbytes}").ravel()
+        return np.unpackbits(rows[np.argsort(keys)], axis=1, count=self.width)
 
     @classmethod
     def from_bit_rows(cls, rows: np.ndarray) -> "Anf":
         """Inverse of :meth:`bit_rows`: rows in any order, repeated rows cancel.
 
-        The rows are packed into little-endian ``uint64`` words, and each
-        mask is its words shifted into place; masks decoded from ``width``
-        columns are in range by construction.
+        The rows are packed little-endian and read by ``_masks_from_bytes``;
+        masks decoded from ``width`` columns are in range by construction.
         """
         count, width = rows.shape
-        packed = np.zeros((count, 8 * max(1, -(-width // 64))), dtype=np.uint8)
-        packed[:, :-(-width // 8)] = np.packbits(rows, axis=1, bitorder="little")
-        words = packed.view("<u8").T.tolist()   # word k of every row: bits 64k..64k+63
-        masks = words[0]
-        for k in range(1, len(words)):
-            masks = list(map(operator.or_, masks, map(operator.lshift, words[k], repeat(64 * k))))
+        masks = _masks_from_bytes(np.packbits(rows, axis=1, bitorder="little"))
         # a frozenset copied from a set is sized to it; one grown from a
         # list keeps the slack of its growth, up to twice the size
         terms = set(masks)
@@ -452,11 +460,50 @@ def _subset_xor(rows: np.ndarray, k: int) -> np.ndarray:
     return rows
 
 
-def _mask_bytes(masks, nbytes: int) -> np.ndarray:
-    """Int masks as ``(len(masks), nbytes)`` little-endian ``uint8`` rows,
-    bit 8c + i of a mask at bit i of byte c."""
-    raw = b"".join(map(operator.methodcaller("to_bytes", nbytes, "little"), masks))
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+def _reverse_bytes(rows: np.ndarray) -> np.ndarray:
+    """``uint8`` rows with the bits of every byte reversed, through one
+    ``bytes.translate``: little-endian mask bytes to block rows and back."""
+    return np.frombuffer(rows.tobytes().translate(_REVERSED_BYTES),
+                         dtype=np.uint8).reshape(rows.shape)
+
+
+def _mask_rows(masks, nbytes: int) -> np.ndarray:
+    """Int masks as ``(len(masks), nbytes)`` ``uint8`` block rows, bit
+    8c + i of a mask at bit 7 - i of byte c."""
+    # fromiter stores each mask's bytes as it comes, with no list of them;
+    # "S0" would be a string of any length
+    size = max(nbytes, 1)
+    raw = np.fromiter(map(int.to_bytes, masks, repeat(size), repeat("little")),
+                      dtype=f"S{size}", count=len(masks))
+    return _reverse_bytes(raw.view(np.uint8).reshape(len(masks), size)[:, :nbytes])
+
+
+def _masks_from_bytes(raw: np.ndarray) -> list[int]:
+    """Each little-endian ``uint8`` row of mask bytes as an int mask, from
+    its ``uint64`` words shifted into place."""
+    count, nbytes = raw.shape
+    padded = np.zeros((count, 8 * max(1, -(-nbytes // 8))), dtype=np.uint8)
+    padded[:, :nbytes] = raw
+    words = padded.view("<u8").T.tolist()   # word k of every row: bits 64k..64k+63
+    masks = words[0]
+    for k in range(1, len(words)):
+        masks = list(map(operator.or_, masks, map(operator.lshift, words[k], repeat(64 * k))))
+    return masks
+
+
+def _block_rows(equations: Sequence[Anf], nbytes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every monomial of at most 256 ``equations`` as a block row, and the
+    index of each row's equation as ``uint8``.  Held rows are taken as they
+    are; the masks of the other equations go through one ``_mask_rows``
+    together."""
+    held = [(j, eq._rows) for j, eq in enumerate(equations) if eq._rows is not None]
+    sets = [(j, eq.terms) for j, eq in enumerate(equations) if eq._rows is None]
+    parts = [rows for _, rows in held]
+    if sets:
+        parts.append(_mask_rows([m for _, terms in sets for m in terms], nbytes))
+    owners = np.array([j for j, _ in held + sets], dtype=np.uint8)
+    rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return rows, np.repeat(owners, [len(part) for _, part in held + sets])
 
 
 def anfs_from_rows(rows: np.ndarray) -> list[Anf]:
@@ -482,20 +529,40 @@ def anfs_from_rows(rows: np.ndarray) -> list[Anf]:
 _ROW_BLOCK = 4096
 
 
+def _word_coefficients(equations: Sequence[Anf], nbytes: int):
+    """One output word of at most 32 equations: its ``(nbytes, 256)``
+    byte-local coefficients and its constant, equation j at bit j ^ 7 (bit
+    7 - (j & 7) of byte j >> 3), and its residual rows with their equations.
+
+    A monomial within one input byte is the coefficient of its block-row
+    value in that byte's table.  An equation's monomials are distinct, so
+    the bits that meet at one coefficient are distinct and their sum is
+    their OR."""
+    rows, owners = _block_rows(equations, nbytes)
+    bits = np.left_shift(1, owners ^ 7, dtype=np.uint32)
+    at = np.flatnonzero(rows != 0)   # every nonzero byte of every monomial
+    row = at // max(nbytes, 1)
+    spread = np.bincount(row, minlength=len(rows))   # the input bytes each monomial spans
+    one = spread[row] == 1
+    at, row = at[one], row[one]
+    index = (at - row * nbytes) * 256 + rows.ravel()[at]
+    coefficients = np.bincount(index, bits[row], 256 * nbytes).reshape(nbytes, 256)
+    return coefficients, bits[spread == 0].sum(), rows[spread > 1], owners[spread > 1]
+
+
 class Kernel:
     """Equations compiled once into per-byte truth tables for evaluation
     over a batch of ``uint8`` rows in the block convention: x_{8c+i} is bit
     7-i of byte c, and so is output 8c+i.
 
-    A monomial within one input byte is a coefficient of that byte's
-    256-entry table, at its bit-reversed local index.  The compile is one
-    pass over the equations: it gives each distinct monomial a row of
-    output bits, output 8k+i at bit 7-i of byte k, and puts the row of each
-    byte-local monomial into one ``(bytes, 256, 4 * words)`` ``uint8``
-    array, which ``_subset_xor`` turns in place into tables read as one
-    ``uint32`` word per (output word, byte, value).  An equation is then
-    one lookup per input byte, its constant and the residual, its
-    monomials over two or more bytes (no built system has one), XORed.
+    The compile takes each equation's monomials as block rows, those a
+    parsed equation holds or those of its term set, and sets the output
+    bits of 32 equations at a time straight into a ``(bytes, 256, words)``
+    ``uint32`` array of coefficients (``_word_coefficients``), which
+    ``_subset_xor`` turns in place into one table per (output word, byte).
+    An equation is then one lookup per input byte, its constant and the
+    residual, its monomials over two or more bytes (no built system has
+    one, so ``np.unique`` finds their distinct rows among few), XORed.
 
     The whole kernel is one lookup plan: for each (output word, lookup) the
     input column and the offset of its table in one concatenated run.
@@ -513,25 +580,16 @@ class Kernel:
         self.width = width
         self.outputs = len(equations)
         nbytes, words = -(-width // 8), -(-self.outputs // 32)
-        # each distinct monomial's row of output bits, the constant one at
-        # row 0; an equation's masks are distinct, so no row repeats in an OR
-        row_of = {0: 0}
-        term_rows = [np.fromiter((row_of.setdefault(m, len(row_of)) for m in eq.terms),
-                                 dtype=np.intp, count=len(eq.terms)) for eq in equations]
-        holders = np.zeros((len(row_of), 4 * words), dtype=np.uint8)
-        for j, rows in enumerate(term_rows):
-            holders[rows, j >> 3] |= 0x80 >> (j & 7)
-        # the monomials' bytes, one more than the width needs so that there is one
-        raw = _mask_bytes(row_of, nbytes + 1)
-        spread = np.count_nonzero(raw, axis=1)   # the input bytes each monomial spans
-        local = np.flatnonzero(spread == 1)
-        byte = raw[local].argmax(axis=1)
-        # distinct monomials of one byte have distinct values, so each
-        # coefficient is assigned, not XORed
-        tables = np.zeros((nbytes, 256, 4 * words), dtype=np.uint8)
-        tables[byte, _REVERSED_BYTE[raw[local, byte]]] = holders[local]
-        tables = (_subset_xor(tables.reshape(256 * nbytes, 4 * words), 8).view("<u4")
-                  .reshape(nbytes, 256, words).transpose(2, 0, 1))
+        tables = np.zeros((nbytes, 256, words), dtype="<u4")
+        self._constant = np.zeros((words, 1), dtype="<u4")
+        residual, holders = [np.zeros((0, nbytes), dtype=np.uint8)], [np.zeros(0, dtype=np.intp)]
+        for w in range(words):
+            tables[:, :, w], self._constant[w], rows, owners = _word_coefficients(
+                equations[32 * w:32 * w + 32], nbytes)
+            residual.append(rows)
+            holders.append(32 * w + owners.astype(np.intp))
+        tables = _subset_xor(tables.reshape(256 * nbytes, words), 8).reshape(
+            nbytes, 256, words).transpose(2, 0, 1)
         # each word reads its used bytes' tables in byte order, then the zero table
         used = tables.any(axis=2)
         counts = used.sum(axis=1)
@@ -542,10 +600,10 @@ class Kernel:
         self._columns[read] = np.nonzero(used)[1]
         self._offsets = np.full((len(read), 1), len(self._table) - 256, dtype=np.intp)
         self._offsets[read, 0] = np.arange(0, len(self._table) - 256, 256)
-        self._constant = holders[0].view("<u4").reshape(-1, 1).copy()
-        # the residual monomials as byte rows, and the outputs that hold each
-        self._residual = _REVERSED_BYTE[raw[spread > 1, :nbytes]]
-        self._selector = np.unpackbits(holders[spread > 1], axis=1)
+        # the distinct residual monomials as block rows, and the outputs that hold each
+        self._residual, inverse = np.unique(np.concatenate(residual), axis=0, return_inverse=True)
+        self._selector = np.zeros((len(self._residual), 32 * words), dtype=np.uint8)
+        self._selector[inverse.reshape(-1), np.concatenate(holders)] = 1
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
         """Evaluate on ``(N, ceil(width / 8))`` ``uint8`` input rows.
@@ -588,5 +646,5 @@ def batch_evaluate(equations: Sequence[Anf], inputs: Sequence[int]) -> list[int]
     if any(ones < 0 or ones >> kernel.width for ones in inputs):
         raise ValueError(f"input mask outside the variable space of width {kernel.width}")
     nbytes = -(-kernel.width // 8)
-    out = kernel(_REVERSED_BYTE[_mask_bytes(inputs, nbytes)])
+    out = kernel(_mask_rows(inputs, nbytes))
     return [int.from_bytes(row.tobytes().translate(_REVERSED_BYTES), "little") for row in out]

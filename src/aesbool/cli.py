@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import system as system_mod
@@ -135,14 +136,18 @@ def cmd_stats(args) -> int:
     root = _resolve_root(args.files, None)
     system = read_system(root)
     print(f"## Stats for {root.name} (direction={system.direction})")
-    histogram: dict[int, int] = {}
+    histogram: Counter[int] = Counter()
+    # stages that hold the same equation objects, as read-back stages of a
+    # kind do, are counted once
+    counted: dict[tuple[int, ...], tuple[list[int], Counter[int]]] = {}
     for index, stage in enumerate(system.stages):
-        term_counts = [eq.term_count() for eq in stage.equations]
-        max_degree = max(eq.degree() for eq in stage.equations)
-        for eq in stage.equations:
-            for mono in eq.terms:
-                size = mono.bit_count()
-                histogram[size] = histogram.get(size, 0) + 1
+        key = tuple(map(id, stage.equations))
+        if key not in counted:
+            counted[key] = ([eq.term_count() for eq in stage.equations],
+                            Counter(mono.bit_count() for eq in stage.equations for mono in eq.terms))
+        term_counts, sizes = counted[key]
+        histogram.update(sizes)
+        max_degree = max(sizes, default=-1)
         print(f"stage {index:02d} {stage.trace_label} kind={stage.kind}"
               f" monomials={sum(term_counts)}"
               f" min_terms={min(term_counts)} max_terms={max(term_counts)}"

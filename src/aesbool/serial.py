@@ -17,12 +17,15 @@ zero equation is an empty file.
 A file body is a byte matrix of one row per monomial, ``width + 2`` bytes
 wide (flag, mask, line feed).  The writer fills that matrix from the
 equation's bit rows and writes it whole; the reader views the file's bytes
-as the matrix, checks every row at once and packs the mask columns back
-into the monomial masks.  Only the message for the first bad line is built
-line by line.  The writer gives every stage of one kind the same file for
-a bit, so the reader goes bit by bit through the stages, compares each
-file with those it already parsed at the same (kind, bit) and shares the
-Anf of an equal one; it keeps the bytes of the current bit only.
+as the matrix, checks every row at once and packs the mask columns into
+block rows, which the Anf of a file in canonical order holds as they are
+(the ``Kernel`` compiles from them, with no term set built).  Only the
+message for the first bad line is built line by line.  The writer goes
+bit by bit, rendering each distinct stage's equation once per bit, and
+gives every stage of one kind the same file for a bit, so the reader
+goes bit by bit through the stages, compares each file with those it
+already parsed at the same (kind, bit) and shares the Anf of an equal
+one; each side holds the bytes of the current bit only.
 
 Each name in the tree and the manifest text are built by one function
 here, and the reader inverts the writer: it takes only the direction and
@@ -45,7 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from .anf import Anf
-from .system import DIRECTIONS, STAGE_KINDS, TRACE_LABELS, EquationSystem, Stage
+from .system import (DIRECTIONS, SCHEDULE_POSITIONS, STAGE_KINDS, TRACE_LABELS, EquationSystem,
+                     Stage)
 
 _ZERO, _ONE, _LF = b"01\n"   # the byte values of the .eq characters
 
@@ -106,7 +110,9 @@ def _parse_equation(data: bytes, width: int, source) -> Anf:
 
     The lines before the first one of the wrong length form a byte matrix
     whose every row is checked at once; a malformed body raises ParseError
-    naming its first bad line.  Rows in any order XOR together.
+    naming its first bad line.  The mask columns are packed into block
+    rows; rows in canonical order, as the writer writes them, are the
+    ANF's held rows, and rows in any other order XOR together.
     """
     chars = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(chars == _LF)
@@ -133,6 +139,15 @@ def _parse_equation(data: bytes, width: int, source) -> Anf:
     if count < len(ends):
         raise ParseError(
             f"{source}:{count + 1}: expected {width + 1} characters, got {lengths[count]}")
+    rows = np.packbits(digits[:, 1:], axis=1)
+    # canonical order is strictly ascending rows, compared as big-endian
+    # words at the first word where two neighbours differ
+    words = np.zeros((count, width // 64 + 1), dtype=">u8")
+    words.view(np.uint8)[:, :rows.shape[1]] = rows
+    pairs = np.arange(count - 1)
+    first = (words[:-1] != words[1:]).argmax(axis=1)
+    if (words[pairs, first] < words[pairs + 1, first]).all():
+        return Anf(width, _terms=rows)
     return Anf.from_bit_rows(digits[:, 1:])
 
 
@@ -146,10 +161,6 @@ def parse_equation_lines(lines, width: int, *, source: str = "<memory>") -> Anf:
     # a character no line may hold becomes one '?', so lengths stay and it is illegal
     body = "".join(line.replace("\n", "?") + "\n" for line in lines)
     return _parse_equation(body.encode("ascii", "replace"), width, source)
-
-
-def _render_stage(stage: Stage) -> list[bytes]:
-    return [_render_equation(eq) for eq in stage.equations]
 
 
 def _write_bytes(path, data: bytes) -> None:
@@ -166,11 +177,15 @@ def _write_bytes(path, data: bytes) -> None:
 def write_system(system: EquationSystem, dest) -> Path:
     """Write every stage of ``system`` under dest/AES_files_<direction>/.
 
-    Deterministic: equal systems produce byte-identical trees.  The tree is
-    built in a temporary directory under ``dest``, removed on any error, and
-    moved into place once complete.  It replaces an earlier generated tree;
-    anything else of that name is left untouched and reported.  Returns the
-    manifest path.
+    Deterministic: equal systems produce byte-identical trees.  Every stage
+    directory is made first; then, bit by bit, the equation of each
+    distinct stage (stages holding the same equation objects, such as the
+    nine Round stages of a built or read-back encryption system) is
+    rendered once and written into each directory of that stage, so only
+    one file body is held at a time.  The tree is built in a temporary
+    directory under ``dest``, removed on any error, and moved into place
+    once complete.  It replaces an earlier generated tree; anything else of
+    that name is left untouched and reported.  Returns the manifest path.
     """
     dest = Path(dest)
     root = dest / system_dirname(system.direction)
@@ -185,15 +200,18 @@ def write_system(system: EquationSystem, dest) -> Path:
     try:
         tree = staging / root.name   # a plain mkdir, so the usual permissions
         tree.mkdir()
-        rendered_cache: dict[tuple[Anf, ...], list[bytes]] = {}
+        # the stage directories of each distinct equation tuple, by identity
+        prefixes: dict[tuple[int, ...], tuple[tuple[Anf, ...], list[str]]] = {}
         for index, stage in enumerate(system.stages):
             stage_dir = tree / _stage_dirname(index, stage.trace_label)
             stage_dir.mkdir()
-            if stage.equations not in rendered_cache:
-                rendered_cache[stage.equations] = _render_stage(stage)
-            prefix = os.path.join(stage_dir, "")
-            for name, body in zip(_BIT_FILENAMES, rendered_cache[stage.equations]):
-                _write_bytes(prefix + name, body)
+            prefixes.setdefault(tuple(map(id, stage.equations)), (stage.equations, []))[1].append(
+                os.path.join(stage_dir, ""))
+        for bit, name in enumerate(_BIT_FILENAMES):
+            for equations, stage_prefixes in prefixes.values():
+                body = _render_equation(equations[bit])
+                for prefix in stage_prefixes:
+                    _write_bytes(prefix + name, body)
         _write_bytes(tree / END_NAME, b"")
         manifest = render_manifest(
             system.direction, [(st.trace_label, st.kind) for st in system.stages])
@@ -240,7 +258,10 @@ def _split_lines(text: str, source) -> list[str]:
 
 def _read_manifest(manifest: Path) -> tuple[str, list[tuple[str, str, int]]]:
     """Direction and (trace label, kind, round index) stages of a manifest,
-    whose text must equal the rendering of its direction and labels."""
+    whose text must equal the rendering of its direction and labels.  The
+    stages must follow the direction's schedule: an encryption tree whose
+    header says "dec" names its stages out of order, unless it has only
+    one, such as Round0, which then reads as InvRound0."""
     data = _read_bytes(manifest, "manifest not found (incomplete or foreign directory)")
     _check_ascii(manifest, data)
     text = data.decode("ascii")
@@ -248,12 +269,16 @@ def _read_manifest(manifest: Path) -> tuple[str, list[tuple[str, str, int]]]:
     # with no header matching, the comparison below names the first wrong line
     direction = next((d for d in DIRECTIONS if text.startswith(_MANIFEST_HEADER.format(d))),
                      DIRECTIONS[0])
+    positions = SCHEDULE_POSITIONS[direction]
     stages = []
-    for line in lines[_HEADER_LINES:]:
+    for lineno, line in enumerate(lines[_HEADER_LINES:], start=_HEADER_LINES + 1):
         fields = line.split(" ")
         found = TRACE_LABELS.get((direction, fields[2])) if len(fields) > 2 else None
         if found is None:
             break
+        if stages and positions[fields[2]] <= positions[stages[-1][0]]:
+            raise ParseError(f"{manifest}:{lineno}: stage {fields[2]!r} is out of order:"
+                             f" the {direction} schedule does not put it after {stages[-1][0]!r}")
         stages.append((fields[2], *found))
     expected = _split_lines(
         render_manifest(direction, [(label, kind) for label, kind, _ in stages]), manifest)
@@ -273,7 +298,10 @@ def read_system(path) -> EquationSystem:
 
     The files are read bit by bit, each bit through the stages in order:
     of several faults, the one at the lowest bit, then earliest stage, is
-    reported."""
+    reported.  Stages of one kind share the Anf of each byte-identical
+    file, and each Anf of a canonical file holds its packed block rows
+    until its term set is read, so the system's kernels compile from the
+    rows with no term set built."""
     root = Path(path)
     direction, entries = _read_manifest(root / MANIFEST_NAME)
     prefixes = [os.path.join(root / _stage_dirname(index, label), "")

@@ -91,6 +91,12 @@ SCHEDULE_TRACE_LABELS: dict[str, tuple[str, ...]] = {
     for direction, schedule in SCHEDULES.items()
 }
 
+# Each direction's trace labels -> their positions in its schedule.
+SCHEDULE_POSITIONS: dict[str, dict[str, int]] = {
+    direction: {label: position for position, label in enumerate(labels)}
+    for direction, labels in SCHEDULE_TRACE_LABELS.items()
+}
+
 # Reverse lookup (direction, trace label) -> (kind, round index) of every
 # scheduled stage.  Round and FinalRound share the trace label "Round<r>".
 TRACE_LABELS: dict[tuple[str, str], tuple[str, int]] = {
@@ -112,7 +118,8 @@ class Stage:
             raise ValueError(f"unknown stage kind {self.kind!r}")
         if self.round_index not in ROUND_INDICES:
             raise ValueError(f"round index {self.round_index} outside 0..10")
-        # a tuple, so equal stages share one compiled kernel and one rendering
+        # a tuple, so the stage is immutable; stages that hold the same equation
+        # objects share one compiled kernel and one rendering per bit
         object.__setattr__(self, "equations", tuple(self.equations))
         if len(self.equations) != aes.BLOCK_BITS:
             raise ValueError(f"stage needs 128 equations, got {len(self.equations)}")
@@ -153,23 +160,33 @@ class EquationSystem:
         # the checks that make every system read back as itself from its files
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
+        positions = SCHEDULE_POSITIONS[self.direction]
+        previous = None
         for st in self.stages:
             if TRACE_LABELS.get((self.direction, st.trace_label)) != (st.kind, st.round_index):
                 raise ValueError(f"no {st.kind} stage of round {st.round_index}"
                                  f" in the {self.direction} system")
+            if previous is not None and positions[st.trace_label] <= positions[previous]:
+                raise ValueError(f"stage {st.trace_label} is out of order: the {self.direction}"
+                                 f" schedule does not put it after {previous}")
+            previous = st.trace_label
 
     @cached_property
     def kernels(self) -> tuple[Kernel, ...]:
         """One compiled kernel per stage, built on first evaluation.
 
-        Stages with equal equation tuples share one kernel, so the nine
-        Round stages of the encryption system compile once.
+        Stages that hold the same equation objects share one kernel, so the
+        nine Round stages of the encryption system, built or read back,
+        compile once.  The stages are keyed by the identity of their
+        equations: compiling never hashes an Anf, so a read-back equation
+        never builds its term set.
         """
-        compiled: dict[tuple[Anf, ...], Kernel] = {}
-        for st in self.stages:
-            if st.equations not in compiled:
-                compiled[st.equations] = Kernel(st.equations)
-        return tuple(compiled[st.equations] for st in self.stages)
+        compiled: dict[tuple[int, ...], Kernel] = {}
+        keys = [tuple(map(id, st.equations)) for st in self.stages]
+        for key, st in zip(keys, self.stages):
+            if key not in compiled:
+                compiled[key] = Kernel(st.equations)
+        return tuple(map(compiled.__getitem__, keys))
 
     def key_segment_count(self) -> int:
         """Distinct 128-variable key sets (one per AddRoundKey stage)."""

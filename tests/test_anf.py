@@ -9,6 +9,7 @@ from aesbool import aes
 from aesbool.anf import (_ROW_BLOCK, Anf, Kernel, TermLimitError, VarSpace, anfs_from_rows,
                          batch_evaluate)
 from aesbool.boolfn import TruthTable, anf_from_truth_table, truth_table_from_anf
+from aesbool.serial import parse_equation_lines, render_equation_lines
 
 
 def random_anf(width, rng, max_terms=12):
@@ -761,6 +762,26 @@ def test_property_table_kernel_agrees_with_evaluate_mask(case):
     assert not bits[:, len(equations):].any()
     assert bits[:, :len(equations)].tolist() == [[eq.evaluate_mask(x) for eq in equations]
                                                  for x in points]
+
+
+@given(table_kernel_batches())
+def test_property_held_rows_compile_to_the_same_kernel(case):
+    # the same equations parsed from their files hold their packed rows;
+    # every third keeps its term set, so output words mix the two forms
+    equations, rows = case
+    held = [parse_equation_lines(render_equation_lines(eq), eq.width) for eq in equations]
+    assert all(eq._rows is not None for eq in held)
+    assert [eq.term_count() for eq in held] == [len(eq.terms) for eq in equations]
+    assert all((a.bit_rows() == b.bit_rows()).all() for a, b in zip(held, equations))
+    mixed = [eq if j % 3 == 0 else h for j, (eq, h) in enumerate(zip(equations, held))]
+    want = Kernel(equations)
+    for kernel in (Kernel(held), Kernel(mixed)):
+        for name in ("_table", "_columns", "_offsets", "_constant", "_residual", "_selector"):
+            plan, other = getattr(kernel, name), getattr(want, name)
+            assert (plan.dtype, plan.shape, plan.tobytes()) == (other.dtype, other.shape,
+                                                                 other.tobytes())
+        assert (kernel(rows) == want(rows)).all()
+    assert held == equations
 
 
 @st.composite

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from aesbool import aes
 from aesbool import serial as serial_mod
 from aesbool import system as system_mod
-from aesbool.anf import Anf
+from aesbool.anf import Anf, batch_evaluate
 from aesbool.serial import (
     ParseError,
     parse_equation_lines,
@@ -268,6 +268,79 @@ def test_read_keeps_the_bytes_of_one_bit_at_a_time(written):
     assert peak < 10_000_000
 
 
+def test_write_holds_one_file_body_at_a_time(tmp_path, enc_system):
+    # the bodies of every distinct enc stage are about 10.5 MB; one bit's
+    # are a 128th of that
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_system(enc_system, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 1_000_000
+
+
+def test_read_and_compile_keep_the_packed_rows(written):
+    # a read-back enc system holds each distinct equation as its packed
+    # rows, about 1.4 MB, and compiling it builds no term set
+    tracemalloc.start()
+    try:
+        system = read_system(written / "AES_files_enc")
+        system.kernels
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2_000_000
+    assert all(eq._rows is not None for stage in system.stages for eq in stage.equations)
+
+
+@pytest.mark.parametrize("direction", ["enc", "dec"])
+def test_read_back_kernels_are_the_built_kernels(written, enc_system, dec_system, direction):
+    built = enc_system if direction == "enc" else dec_system
+    back = read_system(written / f"AES_files_{direction}")
+    for ours, theirs in zip(built.kernels, back.kernels, strict=True):
+        for name in ("_table", "_columns", "_offsets", "_constant"):
+            plan, other = getattr(ours, name), getattr(theirs, name)
+            assert (plan.dtype, plan.shape) == (other.dtype, other.shape)
+            assert plan.tobytes() == other.tobytes()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: [lines[0], lines[3], lines[2], lines[1], *lines[4:]],
+    lambda lines: [*lines[:3], lines[2], *lines[3:]],
+    lambda lines: [*lines[:3], lines[2], lines[2], *lines[3:]],
+], ids=["swapped", "repeated", "repeated-twice"])
+def test_lines_out_of_canonical_order_read_like_the_per_line_reader(tmp_path, edit):
+    write_system(_two_stage_system(), tmp_path)
+    root = tmp_path / "AES_files_enc"
+    victim = root / "01_Round0" / "bit_000.eq"
+    lines = victim.read_bytes().split(b"\n")[:-1]
+    data = b"".join(line + b"\n" for line in edit(lines))
+    victim.write_bytes(data)
+    equations = read_system(root).stages[1].equations
+    # the edited file folds its lines; the others hold their rows
+    assert equations[0]._rows is None and equations[1]._rows is not None
+    rng = random.Random(44)
+    inputs = [0, (1 << 128) - 1] + [rng.getrandbits(128) for _ in range(64)]
+    outputs = batch_evaluate(equations, inputs)
+    assert equations[0] == _per_line_read(data, 128, str(victim))
+    for ones, out in zip(inputs, outputs):
+        assert all(out >> j & 1 == eq.evaluate_mask(ones) for j, eq in enumerate(equations))
+
+
+def test_read_rejects_stages_out_of_schedule_order(tmp_path):
+    # "enc" to "dec" in the header of an AddRoundKey0, Round0 tree: the dec
+    # schedule has both labels, as its last two stages, in the other order
+    write_system(_two_stage_system(), tmp_path)
+    manifest = tmp_path / "AES_files_enc" / "manifest.txt"
+    manifest.write_bytes(manifest.read_bytes().replace(b"direction=enc", b"direction=dec"))
+    with pytest.raises(ParseError) as got:
+        read_system(tmp_path / "AES_files_enc")
+    assert str(got.value) == (f"{manifest}:5: stage 'Round0' is out of order:"
+                              " the dec schedule does not put it after 'addRoundKey0'")
+
+
 def test_read_reports_the_fault_of_the_lowest_bit_first(tmp_path):
     write_system(_two_stage_system(), tmp_path)
     root = tmp_path / "AES_files_enc"
@@ -279,14 +352,20 @@ def test_read_reports_the_fault_of_the_lowest_bit_first(tmp_path):
 
 
 def test_rewriting_a_read_back_system_is_byte_identical(written, tmp_path, monkeypatch):
-    # the render cache keys on stage content, so the 30 stages read back as
-    # separate objects still render once per distinct stage
+    # the 30 stages read back share the Anfs of each kind's files, so each
+    # distinct stage still renders once per bit
     rendered = []
-    render = serial_mod._render_stage
-    monkeypatch.setattr(serial_mod, "_render_stage",
-                        lambda stage: rendered.append(stage.kind) or render(stage))
-    write_system(read_system(written / "AES_files_dec"), tmp_path)
-    assert sorted(rendered) == ["AddRoundKey", "InvMixColumns", "InvRound"]
+    render = serial_mod._render_equation
+    monkeypatch.setattr(serial_mod, "_render_equation",
+                        lambda anf: rendered.append(anf) or render(anf))
+    back = read_system(written / "AES_files_dec")
+    write_system(back, tmp_path)
+    ark, inv_round, _, inv_mix = back.stages[:4]   # the first stage of each kind
+    assert [st.kind for st in (ark, inv_round, inv_mix)] == \
+        ["AddRoundKey", "InvRound", "InvMixColumns"]
+    expected = [st.equations[bit] for bit in range(128) for st in (ark, inv_round, inv_mix)]
+    assert len(rendered) == len(expected) == 3 * 128
+    assert all(a is b for a, b in zip(rendered, expected))
     assert tree_digest(tmp_path / "AES_files_dec") == tree_digest(written / "AES_files_dec")
 
 
@@ -426,15 +505,15 @@ def test_read_rejects_line_ends_the_writer_never_writes(tmp_path, body, lineno):
 def test_interrupted_write_leaves_nothing_behind(tmp_path, monkeypatch):
     system = _two_stage_system()
     out = tmp_path / "out"
-    render = serial_mod._render_stage
+    render = serial_mod._render_equation
 
-    def interrupt(stage):
-        if stage.kind == "Round":
+    def interrupt(anf):
+        if anf.width == 128:   # the Round stage's, the ARK stage's are 256 wide
             assert any(p.name == "01_Round0" for p in out.rglob("*"))
             raise KeyboardInterrupt
-        return render(stage)
+        return render(anf)
 
-    monkeypatch.setattr(serial_mod, "_render_stage", interrupt)
+    monkeypatch.setattr(serial_mod, "_render_equation", interrupt)
     with pytest.raises(KeyboardInterrupt):
         write_system(system, out)
     assert list(out.iterdir()) == []
@@ -481,18 +560,19 @@ def _open_descriptors():
 
 
 def _interrupt_rendering(monkeypatch):
-    render = serial_mod._render_stage
+    render = serial_mod._render_equation
 
-    def interrupt(stage):
-        if stage.kind == "Round":
+    def interrupt(anf):
+        if anf.width == 128:   # the Round stage's first equation
             raise KeyboardInterrupt
-        return render(stage)
+        return render(anf)
 
-    monkeypatch.setattr(serial_mod, "_render_stage", interrupt)
+    monkeypatch.setattr(serial_mod, "_render_equation", interrupt)
 
 
 def _interrupt_a_file(monkeypatch):
-    # the 10th write: bit_009.eq of the AddRoundKey stage, left half written
+    # the 10th write, bit by bit through both stages: bit_004.eq of the
+    # Round0 stage, left half written
     write = os.write
     calls = []
 
@@ -550,7 +630,7 @@ def test_no_descriptor_stays_open(tmp_path, monkeypatch, action):
 def test_interrupted_rewrite_keeps_the_previous_tree(tmp_path, monkeypatch):
     write_system(_two_stage_system(), tmp_path)
     before = tree_digest(tmp_path / "AES_files_enc")
-    monkeypatch.setattr(serial_mod, "_render_stage", lambda stage: 1 / 0)
+    monkeypatch.setattr(serial_mod, "_render_equation", lambda anf: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         write_system(_two_stage_system(), tmp_path)
     assert [p.name for p in tmp_path.iterdir()] == ["AES_files_enc"]
@@ -737,8 +817,9 @@ def test_property_eq_file_reads_like_the_per_line_reader(fuzzed_tree, data):
 @given(data=st.data())
 def test_property_manifest_reads_only_as_written(fuzzed_tree, data):
     # A manifest other than the original may name another valid system over
-    # the same files: "direction=dec", or one stage fewer.  It then reads as
-    # that system, and is byte for byte the manifest the writer writes for it.
+    # the same files: one stage fewer, as an enc or a dec system ("dec" with
+    # both stages names them out of the dec schedule's order).  It then reads
+    # as that system, and is byte for byte the manifest the writer writes for it.
     with _rewritten(fuzzed_tree / "manifest.txt", data) as (original, mutant):
         try:
             back = read_system(fuzzed_tree)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -130,13 +131,27 @@ def test_make_stage_validation():
     ("enc", [("Round", 10)]),          # AES-128 has rounds 0..9 only
     ("dec", [("InvRound", 10)]),
     ("dec", [("InvMixColumns", 0)]),   # round 0 has no column mix
+    ("dec", [("AddRoundKey", 0), ("InvRound", 0)]),   # the dec stages out of order
+    ("enc", [("AddRoundKey", 1), ("Round", 0)]),
+    ("enc", [("Round", 0), ("Round", 0)]),            # a stage twice
 ], ids=["enc-invmixcolumns", "sideways", "enc-round9", "enc-round10", "dec-round10",
-        "dec-invmixcolumns0"])
+        "dec-invmixcolumns0", "dec-out-of-order", "enc-out-of-order", "enc-repeated"])
 def test_system_rejects_stages_its_files_cannot_name(direction, stages):
     # each of these would write a tree that reads back as an error or as another system
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="direction must be|no .* stage of round|out of order"):
         system_mod.EquationSystem(direction, tuple(
-            system_mod.Stage(kind, r, [Anf.one(128)] * 128) for kind, r in stages))
+            system_mod.Stage(kind, r, [Anf.one(system_mod.STAGE_KINDS[kind].space.width)] * 128)
+            for kind, r in stages))
+
+
+def test_out_of_order_stages_name_the_schedule():
+    ark, inv_round = (system_mod.Stage(kind, 0, [Anf.one(system_mod.STAGE_KINDS[kind].space.width)] * 128)
+                      for kind in ("AddRoundKey", "InvRound"))
+    with pytest.raises(ValueError) as got:
+        system_mod.EquationSystem("dec", (ark, inv_round))
+    assert str(got.value) == ("stage Round0 is out of order:"
+                              " the dec schedule does not put it after addRoundKey0")
+    assert system_mod.EquationSystem("dec", (inv_round, ark)).stages == (inv_round, ark)
 
 
 def test_trace_labels_are_the_stages_of_the_built_systems(enc_system, dec_system):
@@ -226,6 +241,24 @@ def test_stage_kernels_read_only_the_bytes_of_each_output_word(enc_system, dec_s
         for stage, kernel in zip(system.stages, system.kernels):
             assert kernel._lookups == (8 if stage.kind == "AddRoundKey" else 4)
             assert kernel._columns.reshape(4, -1).tolist() == _WORD_BYTES[stage.kind]
+
+
+def _plan_digest(kernels):
+    h = hashlib.sha256()
+    for kernel in kernels:
+        for plan in (kernel._table, kernel._columns, kernel._offsets, kernel._constant):
+            h.update(f"{plan.dtype.str} {plan.shape}".encode())
+            h.update(plan.tobytes())
+    return h.hexdigest()
+
+
+def test_stage_kernel_plans_are_pinned(enc_system, dec_system):
+    # the lookup plans of every stage, byte for byte, as the compile from
+    # a dict of distinct monomials gave them
+    assert _plan_digest(enc_system.kernels) == \
+        "cf73c789baf89e7d1dd66ee769376b524827ffd20d8a4ea4f00e1c154e1a9bee"
+    assert _plan_digest(dec_system.kernels) == \
+        "9fa0f401f45c10d46293b8ed4eb7977981f241ae0a704ba841d1ae17a2999122"
 
 
 def test_single_evaluation_matches_batch(enc_system):
