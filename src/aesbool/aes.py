@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .anf import _REVERSED_BYTE, _REVERSED_BYTES, Anf, VarSpace, anfs_from_rows
+from .anf import _REVERSED_BYTES, Anf, VarSpace, anfs_from_rows
 
 SBOX = (
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
@@ -264,9 +264,9 @@ def reference_decrypt_states(block: bytes, key: bytes) -> list[bytes]:
 @lru_cache(maxsize=None)
 def _coordinate_anfs() -> tuple[Anf, ...]:
     """The 8 coordinate ANFs of SBOX, then the 8 of INV_SBOX, from one
-    transform of both tables; row i holds the byte whose bit j, most
-    significant first, is bit j of i."""
-    return tuple(anfs_from_rows(np.array([SBOX, INV_SBOX], dtype=np.uint8).T[_REVERSED_BYTE]))
+    transform of both tables: input byte i, whose bit j most significant
+    first is x_j, is row i in truth-table order."""
+    return tuple(anfs_from_rows(np.array([SBOX, INV_SBOX], dtype=np.uint8).T))
 
 
 def sbox_coordinate_anfs() -> tuple[Anf, ...]:
@@ -316,33 +316,30 @@ def inv_shiftrows_equations(space: VarSpace) -> list[Anf]:
     return _permutation_equations(INV_SHIFTROWS_SOURCE, space)
 
 
-def _coeff_bit_sources(coeff: int, bit: int) -> tuple[int, ...]:
-    """Input-bit positions feeding output bit ``bit`` of coeff * byte."""
-    return tuple(q for q in range(8) if (gf_mul(coeff, 0x80 >> q) >> (7 - bit)) & 1)
-
-
-def _matrix_equations(coeffs, space: VarSpace) -> list[Anf]:
+def _matrix_equations(tables, space: VarSpace) -> list[Anf]:
+    """The column mix whose coefficient k has the product table tables[k].
+    Output bit ``bit`` of c * byte takes input bit q (both most significant
+    first) when c * (0x80 >> q) has it: sources[k][bit] lists those q."""
     start = space.start("state")
+    sources = [[tuple(q for q in range(8) if table[0x80 >> q] >> (7 - bit) & 1) for bit in range(8)]
+               for table in tables]
     eqs = []
     for i in range(BLOCK_BITS):
         byte, bit = divmod(i, 8)
         col, row = divmod(byte, 4)
-        vars_ = []
-        for src_row in range(4):
-            coeff = coeffs[(src_row - row) % 4]
-            base = start + 8 * (4 * col + src_row)
-            vars_.extend(base + q for q in _coeff_bit_sources(coeff, bit))
+        vars_ = [start + 8 * (4 * col + src_row) + q
+                 for src_row in range(4) for q in sources[(src_row - row) % 4][bit]]
         eqs.append(Anf.from_terms(space.width, ([v] for v in vars_)))
     return eqs
 
 
 def mixcolumns_equations(space: VarSpace) -> list[Anf]:
     """128 linear equations from the circulant (02 03 01 01) column mix."""
-    return _matrix_equations(MIX_COEFFS, space)
+    return _matrix_equations(_MIX_TABLES, space)
 
 
 def inv_mixcolumns_equations(space: VarSpace) -> list[Anf]:
-    return _matrix_equations(INV_MIX_COEFFS, space)
+    return _matrix_equations(_INV_MIX_TABLES, space)
 
 
 def addroundkey_equations(space: VarSpace) -> list[Anf]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .anf import _REVERSED_BYTES, Anf, _subset_xor
+from .anf import Anf, _mask_rows, _subset_xor
 
 # 2^24 output bits (16 MiB).  Wider functions have no materializable truth
 # table; the AES machinery never needs one.
@@ -79,30 +79,18 @@ class TruthTable:
         return f"TruthTable(arity={self.arity})"
 
 
-def _transform_bits(bits: np.ndarray, arity: int) -> np.ndarray:
-    """The transform of a 0/1 ``uint8`` table, as a new ``uint8`` array, on
-    the packed words ``mobius_transform`` describes.  A table of one word or
-    less is a Python int, which costs less than numpy's fixed overhead."""
-    packed = np.packbits(bits, bitorder="little")
+def _transform_bits(packed: np.ndarray, arity: int) -> np.ndarray:
+    """The transform of a table packed little-endian into ceil(2^arity / 8)
+    ``uint8`` bytes, on the words ``mobius_transform`` describes: in place
+    above one word, else on a Python int, which costs less than numpy's
+    fixed overhead, into a new read-only array."""
     words = int.from_bytes(packed.tobytes(), "little") if arity <= 6 else packed.view("<u8")
     for shift, mask in _IN_WORD_STEPS[:arity]:
         words ^= (words & mask) << shift
     if arity <= 6:
-        packed = np.frombuffer(words.to_bytes(8, "little"), dtype=np.uint8)
-    else:   # the words are a view of the packed bytes, transformed in place
-        _subset_xor(words, arity - 6)
-    return np.unpackbits(packed, count=1 << arity, bitorder="little")
-
-
-def _reverse_bits(indices: np.ndarray, arity: int) -> np.ndarray:
-    """Bit j of each index moved to bit arity-1-j, as a new ``uint32`` array.
-
-    Maps transform rows (x_0 most significant) to monomial masks (x_0
-    least significant) and back, in O(T) for T indices: reversing every
-    byte and then reading the bytes big-endian reverses all 32 bits.
-    """
-    return np.frombuffer(indices.astype("<u4", copy=False).tobytes().translate(_REVERSED_BYTES),
-                         dtype=">u4") >> (32 - arity)
+        return np.frombuffer(words.to_bytes(len(packed), "little"), dtype=np.uint8)
+    _subset_xor(words, arity - 6)
+    return packed
 
 
 def mobius_transform(tt: TruthTable) -> TruthTable:
@@ -113,40 +101,41 @@ def mobius_transform(tt: TruthTable) -> TruthTable:
     (w ^= (w & m_s) << 2^s), the higher ones a halving butterfly across
     words.  The transform is its own inverse.
     """
-    return TruthTable._unchecked(tt.arity, _transform_bits(tt.bits, tt.arity))
+    packed = _transform_bits(np.packbits(tt.bits, bitorder="little"), tt.arity)
+    return TruthTable._unchecked(tt.arity, np.unpackbits(packed, count=1 << tt.arity, bitorder="little"))
 
 
 def anf_from_truth_table(tt: TruthTable) -> Anf:
     """Unique ANF of the function: one monomial per 1 in the transform.
 
-    The ANF keeps the monomial masks as the ``uint32`` array found here,
-    unsorted, and builds its term set only when something reads it.
+    The ANF holds the packed transform as it comes, bit k the coefficient
+    of truth-table index k, and builds its term set only when read.
     """
-    # numpy finds the nonzero entries of a bool array faster; the intp
-    # indices are freed before the reversal makes its copies
-    masks = _reverse_bits(
-        np.flatnonzero(_transform_bits(tt.bits, tt.arity).view(bool)).astype(np.uint32), tt.arity)
-    return Anf(tt.arity, _terms=masks)
+    return Anf(tt.arity, _terms=_transform_bits(np.packbits(tt.bits, bitorder="little"), tt.arity))
 
 
 def truth_table_from_anf(anf: Anf, arity: int) -> TruthTable:
     """Evaluate an ANF on all 2^n inputs: the transform of its coefficients.
 
-    An ANF that still holds its mask array is read from it, unchanged, and
-    its term set stays unbuilt.
+    An ANF that holds its table over ``arity`` variables costs one
+    transform of a copy of it, and its term set stays unbuilt.  Any other
+    scatters its terms' truth-table indices into a table first: their
+    four-byte block rows read big-endian, shifted down by 32 - arity.
     """
     if not 1 <= arity <= MAX_ARITY:
         raise ValueError(f"arity must be in 1..{MAX_ARITY}, got {arity}")
-    # the largest mask holds the highest variable; a space within the arity holds none beyond
-    if anf.width > arity and anf.terms and max(anf.terms) >> arity:
-        raise ValueError(f"ANF uses variable {max(anf.terms).bit_length() - 1},"
-                         f" outside arity {arity}")
-    masks = anf._masks
-    if masks is None:
-        masks = np.fromiter(anf.terms, dtype=np.uint32, count=len(anf.terms))
-    coefficients = np.zeros(1 << arity, dtype=np.uint8)
-    coefficients[_reverse_bits(masks, arity)] = 1
-    return TruthTable._unchecked(arity, _transform_bits(coefficients, arity))
+    if anf._table is not None and anf.width == arity:
+        packed = anf._table.copy()
+    else:
+        # the largest mask holds the highest variable; a space within the arity holds none beyond
+        if anf.width > arity and anf.terms and max(anf.terms) >> arity:
+            raise ValueError(f"ANF uses variable {max(anf.terms).bit_length() - 1},"
+                             f" outside arity {arity}")
+        coefficients = np.zeros(1 << arity, dtype=np.uint8)
+        coefficients[_mask_rows(anf.terms, 4).view(">u4").ravel() >> (32 - arity)] = 1
+        packed = np.packbits(coefficients, bitorder="little")
+    packed = _transform_bits(packed, arity)
+    return TruthTable._unchecked(arity, np.unpackbits(packed, count=1 << arity, bitorder="little"))
 
 
 def evaluate(anf: Anf, assignment) -> int:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -631,24 +632,17 @@ def test_batch_evaluate_empty():
 
 # points -> ANF: one transform of (2^k, B) value rows
 
-def _truth_table_order(k):
-    """The sample of each truth-table row: row r sets x_v to bit k-1-v of
-    r, sample i sets it to bit v of i."""
-    r = np.arange(1 << k)
-    return sum((r >> (k - 1 - v) & 1) << v for v in range(k))
-
-
 def _column_tables(rows, columns):
     """Outputs ``columns`` of the rows (output j is bit 7 - j % 8 of byte
-    j // 8) as truth tables."""
+    j // 8) as truth tables: the samples are already in truth-table order."""
     k = len(rows).bit_length() - 1
-    ordered = rows[_truth_table_order(k)]
-    return [TruthTable(k, ordered[:, j >> 3] >> (7 - j % 8) & 1) for j in columns]
+    return [TruthTable(k, rows[:, j >> 3] >> (7 - j % 8) & 1) for j in columns]
 
 
 def test_anfs_from_rows_at_arity_20_over_16_bytes():
-    # byte c of row i is bits c..c+7 of i, so output 8c+t is x_{c+7-t}, or
-    # zero past x_19; bytes 0 and 15 are random instead
+    # byte c of row i is bits c..c+7 of i, and bit b of i is x_{19-b}, so
+    # output 8c+t is x_{12-c+t}, or zero where c+7-t passes 19; bytes 0 and
+    # 15 are random instead
     i = np.arange(1 << 20)
     rows = np.stack([(i >> c).astype(np.uint8) for c in range(16)], axis=1)
     rows[:, [0, 15]] = np.random.default_rng(20).integers(0, 256, (1 << 20, 2), dtype=np.uint8)
@@ -659,7 +653,20 @@ def test_anfs_from_rows_at_arity_20_over_16_bytes():
         assert anfs[j] == anf_from_truth_table(table)
     for j in range(8, 120):
         c, t = divmod(j, 8)
-        assert anfs[j] == (Anf.variable(20, c + 7 - t) if c + 7 - t < 20 else Anf.zero(20))
+        assert anfs[j] == (Anf.variable(20, 12 - c + t) if c + 7 - t < 20 else Anf.zero(20))
+
+
+def test_anfs_from_rows_holds_one_copy_of_the_rows_beside_the_tables():
+    rows = np.random.default_rng(16).integers(0, 256, (1 << 20, 16), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        anfs = anfs_from_rows(rows)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the transformed copy and the 128 packed tables are 16 MB each
+    assert sum(anf._table.nbytes for anf in anfs) == 16 << 20
+    assert peak < 64 << 20 and held < 20 << 20
 
 
 @pytest.mark.parametrize("rows", [np.zeros((0, 1), dtype=np.uint8), np.zeros((3, 1), dtype=np.uint8),
@@ -886,6 +893,7 @@ def test_property_anfs_from_rows_is_anf_from_truth_table_per_column(rows):
     assert np.array_equal(rows, before)
     assert len(anfs) == 8 * rows.shape[1]
     for anf, table in zip(anfs, _column_tables(rows, range(len(anfs)))):
-        # the masks stay an array until the comparison builds the set
-        assert anf._masks is not None and anf._masks.dtype == np.uint32
+        # the coefficients stay a packed table until the comparison builds the set
+        assert anf._table is not None and anf._table.dtype == np.uint8
+        assert np.array_equal(anf._table, anf_from_truth_table(table)._table)
         assert anf == anf_from_truth_table(table)

@@ -338,42 +338,92 @@ def test_property_packed_transform_matches_the_reference(case):
 _ROW_POINTS = {n: [_row_assignment(k, n) for k in range(1 << n)] for n in range(1, 13)}
 
 
-def _array_readers(anf, n):
-    """What the three readers of a dense ANF's mask array give: the term
-    count, the value at every row, and the table."""
-    return (anf.term_count(), [anf.evaluate_mask(x) for x in _ROW_POINTS[n]],
-            truth_table_from_anf(anf, n))
+def _table_readers(anf, n):
+    """What the readers of a dense ANF's table give: the term count, the
+    degree, the value at every row and at all ones beyond the space, and
+    the table."""
+    return (anf.term_count(), anf.degree(), [anf.evaluate_mask(x) for x in _ROW_POINTS[n]],
+            anf.evaluate_mask(-1), truth_table_from_anf(anf, n))
 
 
-@given(tables())
+@st.composite
+def narrow_tables(draw):
+    """A table of n variables whose last ``ignored`` variables, the low
+    bits of its row, it does not read: each row repeated 2^ignored times."""
+    n, bits = draw(tables())
+    ignored = draw(st.integers(0, n - 1))
+    return n, ignored, np.repeat(bits[:1 << (n - ignored)], 1 << ignored)
+
+
+@given(narrow_tables())
 def test_property_dense_anf_agrees_with_its_term_set_twin(case):
-    n, bits = case
+    n, ignored, bits = case
     twin = Anf(n, _terms=frozenset(_reference_terms(bits, n)))
     # the twin's values are the table's rows
-    expected = (twin.term_count(), bits.tolist(), truth_table_from_anf(twin, n))
-    assert expected[2] == TruthTable(n, bits)
+    expected = _table_readers(twin, n)
+    assert expected[2] == bits.tolist() and expected[4] == TruthTable(n, bits)
     dense = anf_from_truth_table(TruthTable(n, bits))
-    assert _array_readers(dense, n) == expected
-    assert dense._masks is not None   # the readers left the set unbuilt
+    table = dense._table.copy()
+    assert _table_readers(dense, n) == expected
+    # the readers left the set unbuilt and the table as it was
+    assert dense._table is not None and np.array_equal(dense._table, table)
+    # above its width, and at the arity of the variables it uses, below it
+    used = n - ignored
+    for arity, table in ((n + 1, np.repeat(bits, 2)), (used, bits[::1 << ignored])):
+        dense = anf_from_truth_table(TruthTable(n, bits))
+        assert truth_table_from_anf(dense, arity) == truth_table_from_anf(twin, arity) \
+            == TruthTable(arity, table)
     # each comparison builds the set of a fresh dense ANF, which is then
     # its only source
-    for same in (operator.eq, lambda a, b: hash(a) == hash(b),
-                 lambda a, b: a.degree() == b.degree(),
+    for same in (operator.eq, lambda a, b: hash(a) == hash(b), lambda a, b: (a ^ b).is_zero,
+                 lambda a, b: a ^ Anf.one(n) == b ^ Anf.one(n),
                  lambda a, b: np.array_equal(a.bit_rows(), b.bit_rows())):
         dense = anf_from_truth_table(TruthTable(n, bits))
         assert same(dense, twin)
-        assert dense._masks is None and dense.terms == twin.terms
-    assert _array_readers(dense, n) == expected
+        assert dense._table is None and dense.terms == twin.terms
+    assert _table_readers(dense, n) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_held_table_is_the_packed_transform_with_zero_pad_bits(n):
+    # every table up to 3 variables, in one part-filled or whole byte; the
+    # one-word int path up to 6; the numpy path from 7
+    cases = _all_tables(n) if n <= 3 else np.random.default_rng(13_000 + n).integers(
+        0, 2, (50, 1 << n), dtype=np.uint8)
+    for bits in cases:
+        anf = anf_from_truth_table(TruthTable(n, bits))
+        assert anf._table.shape == (max(1, (1 << n) // 8),)
+        # packbits pads with zero bits, so the pad bits must be zero too
+        assert np.array_equal(anf._table, np.packbits(_reference_mobius(bits), bitorder="little"))
+        assert truth_table_from_anf(anf, n).bits.tolist() == bits.tolist()
+        assert [anf.evaluate_mask(x) for x in _ROW_POINTS[n]] == bits.tolist()
+        assert anf.terms == _reference_terms(bits, n)
+
+
+def test_evaluate_mask_reads_a_held_table_of_20_variables():
+    bits = np.random.default_rng(20).integers(0, 2, 1 << 20, dtype=np.uint8)
+    anf = anf_from_truth_table(TruthTable(20, bits))
+    table = anf._table.copy()
+    assert len(table) == 131_072
+    # all zeros reads only the constant coefficient, all ones every one
+    assert anf.evaluate_mask(0) == bits[0] == table[0] & 1
+    assert anf.evaluate_mask((1 << 20) - 1) == anf.evaluate_mask(-1) == bits[-1] == anf.term_count() & 1
+    # each variable alone, and all but it
+    for j in range(20):
+        row = 1 << (19 - j)
+        assert anf.evaluate_mask(1 << j) == bits[row], j
+        assert anf.evaluate_mask(~(1 << j)) == bits[~row], j
+    assert anf._table is not None and np.array_equal(anf._table, table)
 
 
 def test_round_trip_through_a_table_leaves_the_term_set_unbuilt():
     tt = TruthTable(12, np.random.default_rng(12).integers(0, 2, 1 << 12, dtype=np.uint8))
     anf = anf_from_truth_table(tt)
     count = anf.term_count()
-    # twice: the second call sees the array the first one read
+    # twice: the second call sees the table the first one read
     assert truth_table_from_anf(anf, 12) == tt and truth_table_from_anf(anf, 12) == tt
-    assert anf._masks is not None and anf.term_count() == count
-    assert repr(anf) == f"Anf(width=12, terms={count})" and anf._masks is not None
+    assert anf._table is not None and anf.term_count() == count
+    assert repr(anf) == f"Anf(width=12, terms={count})" and anf._table is not None
 
 
 @pytest.mark.parametrize("n", [1, 6, 7, 20])
@@ -386,11 +436,11 @@ def test_conversions_leave_inputs_alone_and_return_read_only_tables(n):
     results = [mobius_transform(tt), truth_table_from_anf(anf, n)]
     assert np.array_equal(tt.bits, bits) and anf.terms == terms
     assert results[1] == tt
-    # an ANF that still holds its mask array is read from it, unchanged
+    # an ANF that still holds its table is read from it, unchanged
     held = anf_from_truth_table(tt)
-    masks = held._masks.copy()
+    table = held._table.copy()
     assert truth_table_from_anf(held, n) == tt
-    assert held._masks is not None and np.array_equal(held._masks, masks)
+    assert held._table is not None and np.array_equal(held._table, table)
     for result in results:
         assert result.bits.dtype == np.uint8 and result.bits.shape == (1 << n,)
         assert not result.bits.flags.writeable
@@ -398,9 +448,6 @@ def test_conversions_leave_inputs_alone_and_return_read_only_tables(n):
         with pytest.raises(ValueError):
             result.bits[0] ^= 1
 
-
-# ---------------------------------------------------------------------------
-# evaluate / weight / support / balance / degree
 
 def test_evaluate_majparmi3_row():
     anf = anf_from_truth_table(TruthTable.from_string(MAJPARMI3))
