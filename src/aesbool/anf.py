@@ -7,24 +7,24 @@ unions variable sets (x^2 = x), so the term set is always canonical and two
 ANFs are equal exactly when their term sets are equal.
 
 The canonical *ordering* of monomials is defined once, by
-``Anf.bit_rows``: each mask written as a row of bits with variable 0
-leftmost, rows sorted ascending -- the masks as big-endian integers with
-variable 0 in the most significant position.  Printing (``mask_strings``,
-``monomials``, ``to_str``) and the one-line-per-monomial file format both
-use it.  It is materialized only when needed; the working representation
-is an unordered frozenset.
+``Anf.bit_rows`` and its inverse ``Anf.from_bit_rows``, the one test of
+it: each mask a row of bits with variable 0 leftmost, rows ascending --
+the masks as big-endian integers, variable 0 most significant.  Printing
+(``mask_strings``, ``monomials``, ``to_str``) and the
+one-line-per-monomial file format both use it.  It is materialized only
+when needed; the working representation is an unordered frozenset.
 
 A dense ANF from ``boolfn.anf_from_truth_table`` or ``anfs_from_rows``
-starts out as its Moebius coefficient table instead (``_table``): ceil(2^n
-/ 8) ``uint8`` bytes, bit k little-endian the coefficient of truth-table
-index k (x_0 its most significant bit).  An equation parsed from a
-canonical ``.eq`` file starts out as the packed block rows of ``bit_rows``
-(``_rows``), which put x_0 first too, so a table's set bits become rows
-with a shift.  ``terms`` builds the set on first access and drops the
-array, so exactly one form is ever the source.  Until then ``term_count``
-reads either array; ``degree``, ``evaluate_mask`` and
-``boolfn.truth_table_from_anf`` read a table, and ``bit_rows`` and the
-``Kernel`` compile read rows.
+starts out as its Moebius coefficient table instead (``_table``):
+ceil(2^n / 8) ``uint8`` bytes, bit k little-endian the coefficient of
+truth-table index k (x_0 its most significant bit).  One that
+``from_bit_rows`` reads from canonical rows, such as a written ``.eq``
+file's, starts out as those rows packed as block rows (``_rows``), which
+put x_0 first too, so a table's set bits become rows with a shift.
+``terms`` builds the set on first access and drops the array, so exactly
+one form is ever the source.  Until then ``term_count`` reads either
+array; ``degree``, ``evaluate_mask`` and ``boolfn.truth_table_from_anf``
+read a table, and ``bit_rows`` and the ``Kernel`` compile read rows.
 
 Whole masks are the unit of work wherever a layout allows it: renaming
 groups the used variables by the distance each one moves and shifts the
@@ -259,11 +259,19 @@ class Anf:
     def from_bit_rows(cls, rows: np.ndarray) -> "Anf":
         """Inverse of :meth:`bit_rows`: rows in any order, repeated rows cancel.
 
-        The rows are packed little-endian and read by ``_masks_from_bytes``;
-        masks decoded from ``width`` columns are in range by construction.
+        The rows are packed into block rows, held as they are when in
+        canonical order: strictly ascending, compared as big-endian words at
+        the first word where two neighbours differ.  Any others are read by
+        ``_masks_from_bytes``, in range by construction, and XOR-folded.
         """
         count, width = rows.shape
-        masks = _masks_from_bytes(np.packbits(rows, axis=1, bitorder="little"))
+        packed = np.packbits(rows, axis=1)
+        words = np.zeros((count, width // 64 + 1), dtype=">u8")
+        words.view(np.uint8)[:, :packed.shape[1]] = packed
+        pairs, first = np.arange(count - 1), (words[:-1] != words[1:]).argmax(axis=1)
+        if (words[pairs, first] < words[pairs + 1, first]).all():
+            return cls(width, _terms=packed)
+        masks = _masks_from_bytes(_reverse_bytes(packed))
         # a frozenset copied from a set is sized to it; one grown from a
         # list keeps the slack of its growth, up to twice the size
         terms = set(masks)
@@ -653,12 +661,9 @@ def batch_evaluate(equations: Sequence[Anf], inputs: Sequence[int]) -> list[int]
     Turns the masks into byte rows and runs them through a :class:`Kernel`
     compiled from ``equations``.
     """
-    n = len(inputs)
-    if n == 0:
+    if len(inputs) == 0:
         return []
     kernel = Kernel(equations)
     if any(ones < 0 or ones >> kernel.width for ones in inputs):
         raise ValueError(f"input mask outside the variable space of width {kernel.width}")
-    nbytes = -(-kernel.width // 8)
-    out = kernel(_mask_rows(inputs, nbytes))
-    return [int.from_bytes(row.tobytes().translate(_REVERSED_BYTES), "little") for row in out]
+    return _masks_from_bytes(_reverse_bytes(kernel(_mask_rows(inputs, -(-kernel.width // 8)))))

@@ -137,15 +137,13 @@ def cmd_stats(args) -> int:
     system = read_system(root)
     print(f"## Stats for {root.name} (direction={system.direction})")
     histogram: Counter[int] = Counter()
-    # stages that hold the same equation objects, as read-back stages of a
-    # kind do, are counted once
-    counted: dict[tuple[int, ...], tuple[list[int], Counter[int]]] = {}
-    for index, stage in enumerate(system.stages):
-        key = tuple(map(id, stage.equations))
-        if key not in counted:
-            counted[key] = ([eq.term_count() for eq in stage.equations],
-                            Counter(mono.bit_count() for eq in stage.equations for mono in eq.terms))
-        term_counts, sizes = counted[key]
+    # the stages that system.shared maps to one stage reuse that stage's counts
+    counted: dict[int, tuple[list[int], Counter[int]]] = {}
+    for index, (stage, first) in enumerate(zip(system.stages, system.shared)):
+        if first == index:
+            counted[index] = ([eq.term_count() for eq in stage.equations],
+                              Counter(mono.bit_count() for eq in stage.equations for mono in eq.terms))
+        term_counts, sizes = counted[first]
         histogram.update(sizes)
         max_degree = max(sizes, default=-1)
         print(f"stage {index:02d} {stage.trace_label} kind={stage.kind}"

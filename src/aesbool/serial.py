@@ -48,8 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .anf import Anf
-from .system import (DIRECTIONS, SCHEDULE_POSITIONS, STAGE_KINDS, TRACE_LABELS, EquationSystem,
-                     Stage)
+from .system import DIRECTIONS, STAGE_KINDS, TRACE_LABELS, EquationSystem, Stage, out_of_order
 
 _ZERO, _ONE, _LF = b"01\n"   # the byte values of the .eq characters
 
@@ -110,9 +109,9 @@ def _parse_equation(data: bytes, width: int, source) -> Anf:
 
     The lines before the first one of the wrong length form a byte matrix
     whose every row is checked at once; a malformed body raises ParseError
-    naming its first bad line.  The mask columns are packed into block
-    rows; rows in canonical order, as the writer writes them, are the
-    ANF's held rows, and rows in any other order XOR together.
+    naming its first bad line.  ``Anf.from_bit_rows`` takes the mask
+    columns: it holds rows in canonical order, as the writer writes them,
+    as packed block rows, and XORs rows in any other order together.
     """
     chars = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(chars == _LF)
@@ -139,15 +138,6 @@ def _parse_equation(data: bytes, width: int, source) -> Anf:
     if count < len(ends):
         raise ParseError(
             f"{source}:{count + 1}: expected {width + 1} characters, got {lengths[count]}")
-    rows = np.packbits(digits[:, 1:], axis=1)
-    # canonical order is strictly ascending rows, compared as big-endian
-    # words at the first word where two neighbours differ
-    words = np.zeros((count, width // 64 + 1), dtype=">u8")
-    words.view(np.uint8)[:, :rows.shape[1]] = rows
-    pairs = np.arange(count - 1)
-    first = (words[:-1] != words[1:]).argmax(axis=1)
-    if (words[pairs, first] < words[pairs + 1, first]).all():
-        return Anf(width, _terms=rows)
     return Anf.from_bit_rows(digits[:, 1:])
 
 
@@ -179,8 +169,8 @@ def write_system(system: EquationSystem, dest) -> Path:
 
     Deterministic: equal systems produce byte-identical trees.  Every stage
     directory is made first; then, bit by bit, the equation of each
-    distinct stage (stages holding the same equation objects, such as the
-    nine Round stages of a built or read-back encryption system) is
+    distinct stage (each first stage of ``EquationSystem.shared``, such as
+    the first of the nine Round stages of an encryption system) is
     rendered once and written into each directory of that stage, so only
     one file body is held at a time.  The tree is built in a temporary
     directory under ``dest``, removed on any error, and moved into place
@@ -200,16 +190,15 @@ def write_system(system: EquationSystem, dest) -> Path:
     try:
         tree = staging / root.name   # a plain mkdir, so the usual permissions
         tree.mkdir()
-        # the stage directories of each distinct equation tuple, by identity
-        prefixes: dict[tuple[int, ...], tuple[tuple[Anf, ...], list[str]]] = {}
-        for index, stage in enumerate(system.stages):
+        # the stage directories of each first stage of ``system.shared``, in stage order
+        prefixes: dict[int, list[str]] = {}
+        for index, (stage, first) in enumerate(zip(system.stages, system.shared)):
             stage_dir = tree / _stage_dirname(index, stage.trace_label)
             stage_dir.mkdir()
-            prefixes.setdefault(tuple(map(id, stage.equations)), (stage.equations, []))[1].append(
-                os.path.join(stage_dir, ""))
+            prefixes.setdefault(first, []).append(os.path.join(stage_dir, ""))
         for bit, name in enumerate(_BIT_FILENAMES):
-            for equations, stage_prefixes in prefixes.values():
-                body = _render_equation(equations[bit])
+            for first, stage_prefixes in prefixes.items():
+                body = _render_equation(system.stages[first].equations[bit])
                 for prefix in stage_prefixes:
                     _write_bytes(prefix + name, body)
         _write_bytes(tree / END_NAME, b"")
@@ -269,17 +258,18 @@ def _read_manifest(manifest: Path) -> tuple[str, list[tuple[str, str, int]]]:
     # with no header matching, the comparison below names the first wrong line
     direction = next((d for d in DIRECTIONS if text.startswith(_MANIFEST_HEADER.format(d))),
                      DIRECTIONS[0])
-    positions = SCHEDULE_POSITIONS[direction]
     stages = []
-    for lineno, line in enumerate(lines[_HEADER_LINES:], start=_HEADER_LINES + 1):
+    for line in lines[_HEADER_LINES:]:
         fields = line.split(" ")
         found = TRACE_LABELS.get((direction, fields[2])) if len(fields) > 2 else None
         if found is None:
             break
-        if stages and positions[fields[2]] <= positions[stages[-1][0]]:
-            raise ParseError(f"{manifest}:{lineno}: stage {fields[2]!r} is out of order:"
-                             f" the {direction} schedule does not put it after {stages[-1][0]!r}")
         stages.append((fields[2], *found))
+    bad = out_of_order(direction, ((kind, r) for _, kind, r in stages))
+    if bad is not None:
+        raise ParseError(f"{manifest}:{_HEADER_LINES + bad + 1}: stage {stages[bad][0]!r} is out"
+                         f" of order: the {direction} schedule does not put it after"
+                         f" {stages[bad - 1][0]!r}")
     expected = _split_lines(
         render_manifest(direction, [(label, kind) for label, kind, _ in stages]), manifest)
     for lineno, (got, want) in enumerate(itertools.zip_longest(lines, expected), start=1):

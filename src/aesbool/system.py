@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,24 +85,25 @@ SCHEDULES: dict[str, tuple[tuple[str, int], ...]] = {
 }
 DIRECTIONS = tuple(SCHEDULES)
 
-# Each direction's trace labels in stage order, formatted once here.
-SCHEDULE_TRACE_LABELS: dict[str, tuple[str, ...]] = {
-    direction: tuple(STAGE_KINDS[kind].trace_labels[r] for kind, r in schedule)
-    for direction, schedule in SCHEDULES.items()
-}
-
-# Each direction's trace labels -> their positions in its schedule.
-SCHEDULE_POSITIONS: dict[str, dict[str, int]] = {
-    direction: {label: position for position, label in enumerate(labels)}
-    for direction, labels in SCHEDULE_TRACE_LABELS.items()
-}
-
 # Reverse lookup (direction, trace label) -> (kind, round index) of every
 # scheduled stage.  Round and FinalRound share the trace label "Round<r>".
 TRACE_LABELS: dict[tuple[str, str], tuple[str, int]] = {
-    (direction, label): stage for direction, schedule in SCHEDULES.items()
-    for label, stage in zip(SCHEDULE_TRACE_LABELS[direction], schedule, strict=True)
+    (direction, STAGE_KINDS[kind].trace_labels[r]): (kind, r)
+    for direction, schedule in SCHEDULES.items() for kind, r in schedule
 }
+
+
+def out_of_order(direction: str, stages: Iterable[tuple[str, int]]) -> int | None:
+    """The index of the first (kind, round index) of ``stages`` that
+    ``SCHEDULES[direction]`` does not put after the one before it (for the
+    first, anywhere); None when the schedule orders them all."""
+    schedule, position = SCHEDULES[direction], -1
+    for index, stage in enumerate(stages):
+        try:
+            position = schedule.index(stage, position + 1)
+        except ValueError:
+            return index
+    return None
 
 
 @dataclass(frozen=True)
@@ -160,41 +161,36 @@ class EquationSystem:
         # the checks that make every system read back as itself from its files
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
-        positions = SCHEDULE_POSITIONS[self.direction]
-        previous = None
-        for st in self.stages:
-            if TRACE_LABELS.get((self.direction, st.trace_label)) != (st.kind, st.round_index):
+        bad = out_of_order(self.direction, ((st.kind, st.round_index) for st in self.stages))
+        if bad is not None:
+            st = self.stages[bad]
+            if (st.kind, st.round_index) not in SCHEDULES[self.direction]:
                 raise ValueError(f"no {st.kind} stage of round {st.round_index}"
                                  f" in the {self.direction} system")
-            if previous is not None and positions[st.trace_label] <= positions[previous]:
-                raise ValueError(f"stage {st.trace_label} is out of order: the {self.direction}"
-                                 f" schedule does not put it after {previous}")
-            previous = st.trace_label
+            raise ValueError(f"stage {st.trace_label} is out of order: the {self.direction}"
+                             f" schedule does not put it after {self.stages[bad - 1].trace_label}")
+
+    @cached_property
+    def shared(self) -> tuple[int, ...]:
+        """For each stage, the index of the first stage that holds the same
+        equation objects, such as the nine Round stages of the encryption
+        system, built or read back.  Stages are keyed by the identity of
+        their equations, so no Anf is hashed and no term set is built."""
+        first: dict[tuple[int, ...], int] = {}
+        return tuple(first.setdefault(tuple(map(id, st.equations)), index)
+                     for index, st in enumerate(self.stages))
 
     @cached_property
     def kernels(self) -> tuple[Kernel, ...]:
-        """One compiled kernel per stage, built on first evaluation.
-
-        Stages that hold the same equation objects share one kernel, so the
-        nine Round stages of the encryption system, built or read back,
-        compile once.  The stages are keyed by the identity of their
-        equations: compiling never hashes an Anf, so a read-back equation
-        never builds its term set.
-        """
-        compiled: dict[tuple[int, ...], Kernel] = {}
-        keys = [tuple(map(id, st.equations)) for st in self.stages]
-        for key, st in zip(keys, self.stages):
-            if key not in compiled:
-                compiled[key] = Kernel(st.equations)
-        return tuple(map(compiled.__getitem__, keys))
+        """One compiled kernel per stage, built on first evaluation; the
+        stages that ``shared`` maps to one stage share its kernel."""
+        compiled = {index: Kernel(st.equations) for index, st in enumerate(self.stages)
+                    if self.shared[index] == index}
+        return tuple(map(compiled.__getitem__, self.shared))
 
     def key_segment_count(self) -> int:
         """Distinct 128-variable key sets (one per AddRoundKey stage)."""
         return sum(1 for st in self.stages if st.kind == ADD_ROUND_KEY)
-
-    def state_segment_count(self) -> int:
-        """Structural count: the input set plus one fresh set per round stage."""
-        return 1 + sum(1 for st in self.stages if st.kind in _ROUND_KINDS)
 
     def variable_accounting(self) -> dict[str, int]:
         """Variable totals, in the convention of one fresh 128-variable set
@@ -204,14 +200,15 @@ class EquationSystem:
         alongside.
         """
         rounds = sum(1 for st in self.stages if st.kind in _ROUND_KINDS)
+        keys = self.key_segment_count()
         state_vars = aes.BLOCK_BITS * rounds
-        key_vars = aes.BLOCK_BITS * max(0, self.key_segment_count() - 1)
+        key_vars = aes.BLOCK_BITS * max(0, keys - 1)
         return {
             "state_variables": state_vars,
             "key_variables": key_vars,
             "total": state_vars + key_vars,
-            "state_segments": self.state_segment_count(),
-            "key_segments": self.key_segment_count(),
+            "state_segments": 1 + rounds,   # the input set plus one per round stage
+            "key_segments": keys,
         }
 
 
@@ -310,5 +307,5 @@ def reference_trace(direction: str, block: bytes, key: bytes) -> list[tuple[str,
         states = aes.reference_decrypt_states(block, key)
     else:
         raise ValueError(f"direction must be 'enc' or 'dec', got {direction!r}")
-    return [(label, state.hex())
-            for label, state in zip(SCHEDULE_TRACE_LABELS[direction], states, strict=True)]
+    return [(STAGE_KINDS[kind].trace_labels[r], state.hex())
+            for (kind, r), state in zip(SCHEDULES[direction], states, strict=True)]

@@ -213,6 +213,13 @@ def test_read_shares_equal_files_of_one_kind_and_bit(tmp_path, altered):
     assert all(a is b for eqs in others[1:] for a, b in zip(others[0], eqs))
     assert all(a is b for j, (a, b) in enumerate(zip(others[0], back.stages[altered].equations))
                if j != 5)
+    # the altered stage is its own first stage and compiles its own kernel;
+    # the other four map to the first of them and share one kernel
+    first = 1 if altered == 0 else 0
+    assert back.shared == tuple(altered if r == altered else first for r in range(5))
+    kernels = back.kernels
+    assert all(kernels[r] is kernels[first] for r in range(5) if r != altered)
+    assert kernels[altered] is not kernels[first]
 
 
 def _non_ascii(path):
@@ -299,6 +306,7 @@ def test_read_and_compile_keep_the_packed_rows(written):
 def test_read_back_kernels_are_the_built_kernels(written, enc_system, dec_system, direction):
     built = enc_system if direction == "enc" else dec_system
     back = read_system(written / f"AES_files_{direction}")
+    assert back.shared == built.shared
     for ours, theirs in zip(built.kernels, back.kernels, strict=True):
         for name in ("_table", "_columns", "_offsets", "_constant"):
             plan, other = getattr(ours, name), getattr(theirs, name)
