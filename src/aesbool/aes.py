@@ -8,7 +8,14 @@ GF(2^8) product table per coefficient (each built from ``gf_mul``), and
 AddRoundKey and the key schedule XOR whole blocks and words as ints.  It
 uses no equation, so it stays independent of what it checks.
 ``reference_encrypt_states`` and ``reference_decrypt_states`` return the
-state after every stage, unlabelled; ``system`` names the stages.  Bit
+state after every stage, unlabelled; ``system`` names the stages.
+
+Every symbolic equation is a direct sum of 8-variable functions of
+distinct input bytes, built by ``Anf.from_byte_tables`` from their packed
+Moebius tables, so it holds canonical block rows.  The S-box coordinate
+tables come from one transform of SBOX and INV_SBOX; a linear layer, and
+the Round's column mix after the substitution, XORs the coordinate tables
+that its GF(2) matrix picks, read from the product tables.  Bit
 conventions, used consistently:
 
   * a 128-bit block is a 16-byte string in FIPS hex order;
@@ -260,13 +267,35 @@ def reference_decrypt_states(block: bytes, key: bytes) -> list[bytes]:
 
 # ---------------------------------------------------------------------------
 # Symbolic per-bit equation builders
+#
+# A function of one byte is its packed Moebius table: 32 bytes, bit u the
+# coefficient of the monomial whose variables are the set bits of the byte
+# value u (x_0 the most significant).
+
+# the table of variable x_q of a byte: its one monomial is the byte 0x80 >> q
+_VARIABLE_TABLES = np.packbits(np.arange(256) == (0x80 >> np.arange(8))[:, None],
+                               axis=1, bitorder="little")
+
+# the state byte that ShiftRows moves into byte b
+_SHIFTROWS_BYTES = tuple(SHIFTROWS_SOURCE[8 * b] // 8 for b in range(BLOCK_BYTES))
+
 
 @lru_cache(maxsize=None)
-def _coordinate_anfs() -> tuple[Anf, ...]:
-    """The 8 coordinate ANFs of SBOX, then the 8 of INV_SBOX, from one
-    transform of both tables: input byte i, whose bit j most significant
-    first is x_j, is row i in truth-table order."""
-    return tuple(anfs_from_rows(np.array([SBOX, INV_SBOX], dtype=np.uint8).T))
+def _coordinate_tables() -> np.ndarray:
+    """The tables of the 8 coordinates of SBOX, then the 8 of INV_SBOX, as
+    one read-only ``(16, 32)`` ``uint8`` array, from one transform of both
+    tables: input byte i, whose bit j most significant first is x_j, is
+    row i in truth-table order."""
+    tables = np.array([anf._table for anf in
+                       anfs_from_rows(np.array([SBOX, INV_SBOX], dtype=np.uint8).T)])
+    tables.setflags(write=False)
+    return tables
+
+
+def _coordinate_anfs(tables: np.ndarray) -> tuple[Anf, ...]:
+    """New ANFs over the cached tables, so that reading the term set of
+    one, which drops its table, changes no other caller's."""
+    return tuple(Anf(8, _terms=table) for table in tables)
 
 
 def sbox_coordinate_anfs() -> tuple[Anf, ...]:
@@ -275,36 +304,40 @@ def sbox_coordinate_anfs() -> tuple[Anf, ...]:
     Variable j is bit j (MSB first) of the input byte; coordinate c is
     output bit c.
     """
-    return _coordinate_anfs()[:8]
+    return _coordinate_anfs(_coordinate_tables()[:8])
 
 
 def inv_sbox_coordinate_anfs() -> tuple[Anf, ...]:
-    return _coordinate_anfs()[8:]
+    return _coordinate_anfs(_coordinate_tables()[8:])
 
 
-def _bytewise_equations(coords: tuple[Anf, ...], space: VarSpace) -> list[Anf]:
-    start = space.start("state")
-    if space.length("state") != BLOCK_BITS:
-        raise ValueError(f"the state must be {BLOCK_BITS} variables wide")
-    eqs = []
-    for i in range(BLOCK_BITS):
-        byte, bit = divmod(i, 8)
-        eqs.append(coords[bit].rename(start + 8 * byte, width=space.width))
-    return eqs
+def _segment_byte(space: VarSpace, name: str) -> int:
+    """The first byte of a 128-variable segment that starts on a byte."""
+    start = space.start(name)
+    if space.length(name) != BLOCK_BITS or start % 8:
+        raise ValueError(f"the {name} must be {BLOCK_BITS} variables from a byte boundary")
+    return start // 8
+
+
+def _bytewise_equations(tables: np.ndarray, space: VarSpace) -> list[Anf]:
+    first = _segment_byte(space, "state")
+    return [Anf.from_byte_tables(space.width, [(first + byte, tables[bit])])
+            for byte in range(BLOCK_BYTES) for bit in range(8)]
 
 
 def subbytes_equations(space: VarSpace) -> list[Anf]:
-    """128 equations: the 8 coordinate ANFs placed on each byte position."""
-    return _bytewise_equations(sbox_coordinate_anfs(), space)
+    """128 equations: the 8 coordinate tables placed on each byte position."""
+    return _bytewise_equations(_coordinate_tables()[:8], space)
 
 
 def inv_subbytes_equations(space: VarSpace) -> list[Anf]:
-    return _bytewise_equations(inv_sbox_coordinate_anfs(), space)
+    return _bytewise_equations(_coordinate_tables()[8:], space)
 
 
 def _permutation_equations(source, space: VarSpace) -> list[Anf]:
-    start = space.start("state")
-    return [Anf.variable(space.width, start + src) for src in source]
+    first = _segment_byte(space, "state")
+    return [Anf.from_byte_tables(space.width, [(first + src // 8, _VARIABLE_TABLES[src % 8])])
+            for src in source]
 
 
 def shiftrows_equations(space: VarSpace) -> list[Anf]:
@@ -316,67 +349,76 @@ def inv_shiftrows_equations(space: VarSpace) -> list[Anf]:
     return _permutation_equations(INV_SHIFTROWS_SOURCE, space)
 
 
-def _matrix_equations(tables, space: VarSpace) -> list[Anf]:
-    """The column mix whose coefficient k has the product table tables[k].
-    Output bit ``bit`` of c * byte takes input bit q (both most significant
-    first) when c * (0x80 >> q) has it: sources[k][bit] lists those q."""
-    start = space.start("state")
-    sources = [[tuple(q for q in range(8) if table[0x80 >> q] >> (7 - bit) & 1) for bit in range(8)]
-               for table in tables]
+def _matrix_equations(products, coords: np.ndarray, sources, space: VarSpace) -> list[Anf]:
+    """The column mix whose coefficient k has the product table
+    ``products[k]``, applied to bytes with coordinate tables ``coords``;
+    output byte 4 col + row reads byte ``sources[4 col + r]`` of the input
+    for row r of the column, through coefficient (r - row) % 4.
+
+    Output bit ``bit`` of c * y takes bit q of y (both most significant
+    first) when c * (0x80 >> q) has it, so the part of coefficient k and
+    output bit ``bit`` is the XOR of the coordinate tables that picks[k,
+    bit] selects."""
+    first = _segment_byte(space, "state")
+    picks = np.array([[[table[0x80 >> q] >> (7 - bit) & 1 for q in range(8)] for bit in range(8)]
+                      for table in products], dtype=np.uint8)
+    parts = np.bitwise_xor.reduce(picks[..., None] * coords, axis=2)
     eqs = []
     for i in range(BLOCK_BITS):
         byte, bit = divmod(i, 8)
         col, row = divmod(byte, 4)
-        vars_ = [start + 8 * (4 * col + src_row) + q
-                 for src_row in range(4) for q in sources[(src_row - row) % 4][bit]]
-        eqs.append(Anf.from_terms(space.width, ([v] for v in vars_)))
+        eqs.append(Anf.from_byte_tables(space.width, [
+            (first + sources[4 * col + r], parts[(r - row) % 4, bit]) for r in range(4)]))
     return eqs
 
 
 def mixcolumns_equations(space: VarSpace) -> list[Anf]:
     """128 linear equations from the circulant (02 03 01 01) column mix."""
-    return _matrix_equations(_MIX_TABLES, space)
+    return _matrix_equations(_MIX_TABLES, _VARIABLE_TABLES, range(BLOCK_BYTES), space)
 
 
 def inv_mixcolumns_equations(space: VarSpace) -> list[Anf]:
-    return _matrix_equations(_INV_MIX_TABLES, space)
+    return _matrix_equations(_INV_MIX_TABLES, _VARIABLE_TABLES, range(BLOCK_BYTES), space)
+
+
+def round_equations(space: VarSpace) -> list[Anf]:
+    """128 equations of MixColumns(ShiftRows(SubBytes(state))): the column
+    mix over the substitution's coordinate tables, each output column
+    reading the four bytes that ShiftRows brings into it."""
+    return _matrix_equations(_MIX_TABLES, _coordinate_tables()[:8], _SHIFTROWS_BYTES, space)
 
 
 def addroundkey_equations(space: VarSpace) -> list[Anf]:
     """128 equations x_i ^ k_i over a state+key space."""
-    s = space.start("state")
-    k = space.start("key")
-    return [
-        Anf(space.width, _terms=frozenset((1 << (s + i), 1 << (k + i))))
-        for i in range(BLOCK_BITS)
-    ]
+    state, key = _segment_byte(space, "state"), _segment_byte(space, "key")
+    return [Anf.from_byte_tables(space.width, [(state + byte, _VARIABLE_TABLES[bit]),
+                                               (key + byte, _VARIABLE_TABLES[bit])])
+            for byte in range(BLOCK_BYTES) for bit in range(8)]
 
 
 def key_expansion_word_anf(num: int) -> list[Anf]:
     """32 bit-equations of expanded-key word ``num`` (0..43).
 
     Words 0..3 are the identity on the cipher-key variables.  Later words
-    are expressed over the 128 variables of the previous round's key: the
-    word-0 equation rotates the last word's bytes, applies the substitution
-    coordinates, toggles constants per the round constant, and adds the
-    previous word 0; words 1..3 chain by XOR.
+    are expressed over the 128 variables of the previous round's key, whose
+    word n is bytes 4n..4n+3.  Byte b of word 0 is the substitution of byte
+    (b + 1) % 4 of the last word (the rotation), with the round constant's
+    bits as its constant, plus byte b of the previous word 0; words 1..3
+    chain by XOR, so byte b of word num % 4 also adds byte b of the
+    previous words 1..num % 4.
     """
     if not 0 <= num <= 43:
         raise ValueError(f"word index {num} outside 0..43")
-    if num < 4:
-        return [Anf.variable(BLOCK_BITS, 32 * num + j) for j in range(32)]
-    coords = sbox_coordinate_anfs()
-    rcon = RCON[num // 4 - 1]
     words = []
     for j in range(32):
         byte, bit = divmod(j, 8)
-        rotated_src = 96 + 8 * ((byte + 1) % 4)
-        eq = coords[bit].rename(rotated_src, width=BLOCK_BITS)
-        if byte == 0 and (rcon >> (7 - bit)) & 1:
-            eq ^= Anf.one(BLOCK_BITS)
-        eq ^= Anf.variable(BLOCK_BITS, j)
-        words.append(eq)
-    for n in range(1, num % 4 + 1):
-        words = [eq ^ Anf.variable(BLOCK_BITS, 32 * n + j)
-                 for j, eq in enumerate(words)]
+        if num < 4:
+            parts = [(4 * num + byte, _VARIABLE_TABLES[bit])]
+        else:
+            sub = _coordinate_tables()[bit].copy()
+            if byte == 0:
+                sub[0] ^= RCON[num // 4 - 1] >> (7 - bit) & 1   # bit 0: the constant monomial
+            parts = [(12 + (byte + 1) % 4, sub),
+                     *((4 * n + byte, _VARIABLE_TABLES[bit]) for n in range(num % 4 + 1))]
+        words.append(Anf.from_byte_tables(BLOCK_BITS, parts))
     return words

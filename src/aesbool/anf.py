@@ -11,20 +11,28 @@ The canonical *ordering* of monomials is defined once, by
 it: each mask a row of bits with variable 0 leftmost, rows ascending --
 the masks as big-endian integers, variable 0 most significant.  Printing
 (``mask_strings``, ``monomials``, ``to_str``) and the
-one-line-per-monomial file format both use it.  It is materialized only
-when needed; the working representation is an unordered frozenset.
+one-line-per-monomial file format both use it.
 
-A dense ANF from ``boolfn.anf_from_truth_table`` or ``anfs_from_rows``
-starts out as its Moebius coefficient table instead (``_table``):
-ceil(2^n / 8) ``uint8`` bytes, bit k little-endian the coefficient of
-truth-table index k (x_0 its most significant bit).  One that
-``from_bit_rows`` reads from canonical rows, such as a written ``.eq``
-file's, starts out as those rows packed as block rows (``_rows``), which
-put x_0 first too, so a table's set bits become rows with a shift.
-``terms`` builds the set on first access and drops the array, so exactly
-one form is ever the source.  Until then ``term_count`` reads either
-array; ``degree``, ``evaluate_mask`` and ``boolfn.truth_table_from_anf``
-read a table, and ``bit_rows`` and the ``Kernel`` compile read rows.
+An ANF holds one of three forms, and exactly one is ever the source:
+
+  * the term set (``_terms``), unordered, which the algebra (``^``,
+    ``multiply``, ``substitute``, ``rename``) makes;
+  * a Moebius coefficient table (``_table``), which
+    ``boolfn.anf_from_truth_table`` and ``anfs_from_rows`` make:
+    ceil(2^n / 8) ``uint8`` bytes, bit k little-endian the coefficient of
+    truth-table index k (x_0 its most significant bit);
+  * canonical block rows (``_rows``), the rows of ``bit_rows`` packed
+    (x_{8c+i} at bit 7-i of byte c), which ``from_bit_rows`` makes of
+    rows in canonical order, such as a written ``.eq`` file's, and
+    ``from_byte_tables`` of a direct sum: a constant plus one 8-variable
+    function, given by its table, of each of some distinct input bytes.
+    Every equation ``aes`` builds is such a sum.
+
+Both arrays put x_0 first, so a table's set bits become rows with a
+shift.  ``terms`` builds the set on first access and drops the array.
+Until then ``term_count`` and ``degree`` read either array,
+``evaluate_mask`` and ``boolfn.truth_table_from_anf`` read a table, and
+``bit_rows`` and the ``Kernel`` compile read rows.
 
 Whole masks are the unit of work wherever a layout allows it: renaming
 groups the used variables by the distance each one moves and shifts the
@@ -216,6 +224,34 @@ class Anf:
         """Build from an iterable of variable-index collections (XOR-folded)."""
         return cls(width, (_mask_from_vars(t, width) for t in terms))
 
+    @classmethod
+    def from_byte_tables(cls, width: int, parts: Iterable[tuple[int, np.ndarray]]) -> "Anf":
+        """The direct sum of 8-variable functions of distinct input bytes.
+
+        Each part is (byte c, table): the packed Moebius table of a function
+        of x_{8c}..x_{8c+7}, 32 ``uint8`` bytes as ``anfs_from_rows`` makes
+        them, whose truth-table index is the byte's value in a block row.
+        The result holds its canonical block rows: the all-zero row when the
+        tables' index-0 bits XOR to 1, then the parts by descending byte,
+        each part's other set indices ascending as that byte's value.
+        """
+        parts = sorted(parts, key=lambda part: part[0], reverse=True)
+        nbytes = -(-width // 8)
+        places = [byte for byte, _ in parts]
+        if len(set(places)) != len(places):
+            raise ValueError("parts must be on distinct bytes")
+        if places and not (places[-1] >= 0 and places[0] < width // 8):
+            raise ValueError(f"byte outside space of width {width}")
+        coefficients = np.unpackbits(
+            np.array([table for _, table in parts], dtype=np.uint8).reshape(len(parts), 32),
+            axis=1, bitorder="little")
+        constant = int(np.bitwise_xor.reduce(coefficients[:, 0], initial=0))
+        coefficients[:, 0] = 0
+        part, value = np.nonzero(coefficients)   # parts in order, values ascending
+        rows = np.zeros((constant + len(part), nbytes), dtype=np.uint8)
+        rows[constant + np.arange(len(part)), np.array(places, dtype=np.intp)[part]] = value
+        return cls(width, _terms=rows)
+
     # -- queries ---------------------------------------------------------
 
     @property
@@ -231,6 +267,8 @@ class Anf:
         """Largest monomial size; -1 for the zero function."""
         if self._table is not None:   # a monomial's size is its index's popcount
             return int(np.bitwise_count(_set_bits(self._table)).astype(int).max(initial=-1))
+        if self._rows is not None:    # or its block row's
+            return int(np.bitwise_count(self._rows).sum(axis=1, dtype=np.intp).max(initial=-1))
         return max((m.bit_count() for m in self.terms), default=-1)
 
     def variables(self) -> frozenset[int]:
@@ -578,9 +616,9 @@ class Kernel:
     7-i of byte c, and so is output 8c+i.
 
     The compile takes each equation's monomials as block rows, those a
-    parsed equation holds or those of its term set, and sets the output
-    bits of 32 equations at a time straight into a ``(bytes, 256, words)``
-    ``uint32`` array of coefficients (``_word_coefficients``), which
+    parsed or built equation holds or those of its term set, and sets the
+    output bits of 32 equations at a time straight into a ``(bytes, 256,
+    words)`` ``uint32`` array of coefficients (``_word_coefficients``), which
     ``_subset_xor`` turns in place into one table per (output word, byte).
     An equation is then one lookup per input byte, its constant and the
     residual, its monomials over two or more bytes (no built system has

@@ -21,6 +21,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from . import system as system_mod
 from .aes import block_from_hex
 from .boolfn import MAX_ARITY, TruthTable, anf_from_truth_table
@@ -138,11 +140,14 @@ def cmd_stats(args) -> int:
     print(f"## Stats for {root.name} (direction={system.direction})")
     histogram: Counter[int] = Counter()
     # the stages that system.shared maps to one stage reuse that stage's counts
-    counted: dict[int, tuple[list[int], Counter[int]]] = {}
+    counted: dict[int, tuple[list[int], dict[int, int]]] = {}
     for index, (stage, first) in enumerate(zip(system.stages, system.shared)):
         if first == index:
+            # a monomial's degree is its bit row's sum
+            degrees = np.bincount(np.concatenate(
+                [eq.bit_rows().sum(axis=1, dtype=np.intp) for eq in stage.equations]))
             counted[index] = ([eq.term_count() for eq in stage.equations],
-                              Counter(mono.bit_count() for eq in stage.equations for mono in eq.terms))
+                              {d: int(count) for d, count in enumerate(degrees) if count})
         term_counts, sizes = counted[first]
         histogram.update(sizes)
         max_degree = max(sizes, default=-1)

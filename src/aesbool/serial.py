@@ -19,13 +19,14 @@ wide (flag, mask, line feed).  The writer fills that matrix from the
 equation's bit rows and writes it whole; the reader views the file's bytes
 as the matrix, checks every row at once and packs the mask columns into
 block rows, which the Anf of a file in canonical order holds as they are
-(the ``Kernel`` compiles from them, with no term set built).  Only the
-message for the first bad line is built line by line.  The writer goes
-bit by bit, rendering each distinct stage's equation once per bit, and
-gives every stage of one kind the same file for a bit, so the reader
-goes bit by bit through the stages, compares each file with those it
-already parsed at the same (kind, bit) and shares the Anf of an equal
-one; each side holds the bytes of the current bit only.
+(the ``Kernel`` compiles from them, with no term set built).  A built
+equation holds such rows too, so rendering it unpacks them, with no
+sort.  Only the message for the first bad line is built line by line.
+The writer goes bit by bit, rendering each distinct stage's equation
+once per bit, and gives every stage of one kind the same file for a bit,
+so the reader goes bit by bit through the stages, compares each file
+with those it already parsed at the same (kind, bit) and shares the Anf
+of an equal one; each side holds the bytes of the current bit only.
 
 Each name in the tree and the manifest text are built by one function
 here, and the reader inverts the writer: it takes only the direction and

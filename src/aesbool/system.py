@@ -9,8 +9,12 @@ multi-round ANF.
 
 Stage kinds, stage order and labels live here alone: ``reference_trace``
 names the byte-level oracle's bare states.  FinalRound and InvRound index
-the (inverse) substitution by the (inverse) row-shift table; Round is the
-column mix with the FinalRound substituted in.
+the (inverse) substitution by the (inverse) row-shift table; Round is
+``aes.round_equations``, the column mix's GF(2) matrix applied to the
+substitution's coordinate tables on the bytes the row shift brings into
+each column.  Every built equation holds its canonical block rows, as one
+read from a file does, so writing renders them and the kernels compile
+from them with no term set built.
 
 Because each stage works on fresh variables, every monomial lies within
 one input byte, and each stage compiles into one ``Kernel`` of per-byte
@@ -222,12 +226,11 @@ def _scheduled_system(direction: str, equations: dict[str, tuple[Anf, ...]]) -> 
 def build_encryption_system() -> EquationSystem:
     """The 21 encryption stages, each AddRoundKey introducing a fresh key set."""
     sb = aes.subbytes_equations(STATE_SPACE)
-    final = tuple(sb[src] for src in aes.SHIFTROWS_SOURCE)
-    bindings = dict(enumerate(final))
     return _scheduled_system("enc", {
         ADD_ROUND_KEY: tuple(aes.addroundkey_equations(ARK_SPACE)),
-        ROUND: tuple(eq.substitute(bindings) for eq in aes.mixcolumns_equations(STATE_SPACE)),
-        FINAL_ROUND: final,
+        ROUND: tuple(aes.round_equations(STATE_SPACE)),
+        # a bytewise substitution commutes with moving whole bytes
+        FINAL_ROUND: tuple(sb[src] for src in aes.SHIFTROWS_SOURCE),
     })
 
 

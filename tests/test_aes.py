@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from aesbool import aes
-from aesbool.anf import Anf, VarSpace, batch_evaluate
+from aesbool.anf import Anf, Kernel, VarSpace, batch_evaluate
 from aesbool.boolfn import TruthTable, anf_from_truth_table, is_balanced, weight
 
 from expected_equations import (
@@ -516,6 +517,33 @@ def test_key_word_anfs_reproduce_concrete_schedule():
         assert aes.mask_to_block(got) == keys[round_index]
 
 
+def test_key_word_anfs_reproduce_the_schedule_of_random_keys():
+    keys = [bytes(random.Random(seed).randbytes(16)) for seed in range(200)]
+    schedules = [aes.reference_key_schedule(key) for key in keys]
+    rows = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(-1, 16)
+    for round_index in range(1, 11):
+        eqs = [eq for w in range(4) for eq in aes.key_expansion_word_anf(4 * round_index + w)]
+        assert all(eq._rows is not None for eq in eqs)
+        rows = Kernel(eqs)(rows)
+        assert rows.tobytes() == b"".join(s[round_index] for s in schedules)
+
+
+def test_reading_a_coordinate_term_set_leaves_the_builders_their_tables():
+    # reading the term set of an Anf drops its table; each call returns new
+    # Anfs over one read-only array of the 16 tables
+    tables = aes._coordinate_tables()
+    assert tables.shape == (16, 32) and tables.dtype == np.uint8
+    assert not tables.flags.writeable
+    first = aes.sbox_coordinate_anfs()
+    first[0].terms
+    again = aes.sbox_coordinate_anfs()
+    assert again[0] is not first[0] and again[0]._table is not None
+    assert again == first
+    assert aes.subbytes_equations(SPACE)[0] == first[0].rename(0, width=128)
+
+
+# ---------------------------------------------------------------------------
+# composed round
 # ---------------------------------------------------------------------------
 # composed round
 
@@ -552,3 +580,10 @@ def test_round_bit0_structure(round_equations):
 
 def test_round_equations_max_degree(round_equations):
     assert max(eq.degree() for eq in round_equations) == 7
+
+
+def test_round_equations_are_the_column_mix_with_the_substitution_substituted_in(round_equations):
+    built = aes.round_equations(SPACE)
+    assert all(eq._rows is not None for eq in built)
+    assert [eq.term_count() for eq in built] == [len(eq.terms) for eq in round_equations]
+    assert built == round_equations

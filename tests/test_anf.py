@@ -800,6 +800,55 @@ def test_property_held_rows_compile_to_the_same_kernel(case):
 
 
 @st.composite
+def byte_table_sums(draw):
+    """Packed 8-variable tables on distinct bytes, in random order, of a
+    space of 8-256 variables, and N byte rows (padding bits included):
+    random tables, and tables that are zero or the constant alone, so that
+    constants may cancel.  The contents come from one seeded
+    ``random.Random`` per example."""
+    rng = draw(st.randoms(use_true_random=True))
+    width = draw(st.integers(8, 256))
+    kinds = draw(st.lists(st.sampled_from(["random", "zero", "constant"]),
+                          max_size=min(width // 8, 8)))
+    tables = {"random": lambda: rng.randbytes(32), "zero": lambda: bytes(32),
+              "constant": lambda: b"\x01" + bytes(31)}
+    parts = [(byte, np.frombuffer(tables[kind](), dtype=np.uint8))
+             for byte, kind in zip(rng.sample(range(width // 8), len(kinds)), kinds)]
+    n = draw(st.sampled_from([1, 2, 64, 65]))
+    nbytes = -(-width // 8)
+    rows = np.frombuffer(rng.randbytes(n * nbytes), dtype=np.uint8).reshape(n, nbytes)
+    return width, parts, rows
+
+
+@given(byte_table_sums())
+def test_property_byte_tables_are_the_sum_of_their_renamed_term_sets(case):
+    width, parts, rows = case
+    got = Anf.from_byte_tables(width, parts)
+    want = Anf.zero(width)
+    for byte, table in parts:
+        want ^= Anf(8, _terms=table).rename(8 * byte, width=width)
+    # the held rows are canonical: they read back held, as they are
+    assert got._rows is not None and got._rows.shape == (len(want.terms), -(-width // 8))
+    assert np.array_equal(got.bit_rows(), want.bit_rows())
+    back = Anf.from_bit_rows(got.bit_rows())
+    assert back._rows is not None and np.array_equal(back._rows, got._rows)
+    assert (got.term_count(), got.degree()) == (len(want.terms), want.degree())
+    assert np.array_equal(Kernel([got, back])(rows), Kernel([want, want])(rows))
+    assert got._rows is not None
+    assert got == want
+
+
+def test_byte_tables_must_lie_on_distinct_bytes_of_the_space():
+    table = np.zeros(32, dtype=np.uint8)
+    with pytest.raises(ValueError, match="distinct"):
+        Anf.from_byte_tables(16, [(1, table), (1, table)])
+    for byte in (-1, 2):
+        with pytest.raises(ValueError, match="outside"):
+            Anf.from_byte_tables(23, [(0, table), (byte, table)])
+    assert Anf.from_byte_tables(0, []) == Anf.zero(0)
+
+
+@st.composite
 def substitutions(draw):
     """An ANF over 1-8 variables and a binding of each variable into 1-8
     variables; zero and constant ANFs come up on both sides."""

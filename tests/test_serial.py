@@ -302,6 +302,45 @@ def test_read_and_compile_keep_the_packed_rows(written):
     assert all(eq._rows is not None for stage in system.stages for eq in stage.equations)
 
 
+# SHA-256 of the .eq bodies of every distinct stage of each built system, in
+# stage order and bit order, as the term-set build of the Round stage gave them
+STAGE_BODY_DIGESTS = {
+    "enc": "6b3135a530ff17655d8efe92a7678771fe36c4100aa7b5135b9c27e8fd6eedf2",
+    "dec": "6b1643f0b9560876da61d4e6e2ee555d9c38c630ea289a873e9600cd663863ea",
+}
+
+
+@pytest.mark.parametrize("direction", ["enc", "dec"])
+def test_built_stages_render_the_pinned_bodies(direction):
+    system = (system_mod.build_encryption_system if direction == "enc"
+              else system_mod.build_decryption_system)()
+    digest = hashlib.sha256()
+    for index, (stage, first) in enumerate(zip(system.stages, system.shared)):
+        if first == index:
+            for eq in stage.equations:
+                digest.update(serial_mod._render_equation(eq))
+    assert digest.hexdigest() == STAGE_BODY_DIGESTS[direction]
+
+
+@pytest.mark.parametrize("direction", ["enc", "dec"])
+def test_build_write_and_compile_keep_the_held_rows(tmp_path, direction):
+    # a built system holds each equation as its canonical block rows, about
+    # 1.5 MB for enc, and neither writing nor compiling builds a term set
+    build = (system_mod.build_encryption_system if direction == "enc"
+             else system_mod.build_decryption_system)
+    tracemalloc.start()
+    try:
+        system = build()
+        write_system(system, tmp_path)
+        system.kernels
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert all(eq._rows is not None for stage in system.stages for eq in stage.equations)
+    assert read_system(tmp_path / f"AES_files_{direction}") == system
+
+
 @pytest.mark.parametrize("direction", ["enc", "dec"])
 def test_read_back_kernels_are_the_built_kernels(written, enc_system, dec_system, direction):
     built = enc_system if direction == "enc" else dec_system
