@@ -293,8 +293,8 @@ def _coordinate_tables() -> np.ndarray:
 
 
 def _coordinate_anfs(tables: np.ndarray) -> tuple[Anf, ...]:
-    """New ANFs over the cached tables, so that reading the term set of
-    one, which drops its table, changes no other caller's."""
+    """New ANFs over the cached tables, so that the forms one caller's
+    ANFs derive and keep are not held by every other caller's."""
     return tuple(Anf(8, _terms=table) for table in tables)
 
 

@@ -6,14 +6,14 @@ constant-1 monomial.  Adding a monomial twice cancels it, multiplication
 unions variable sets (x^2 = x), so the term set is always canonical and two
 ANFs are equal exactly when their term sets are equal.
 
-The canonical *ordering* of monomials is defined once, by
-``Anf.bit_rows`` and its inverse ``Anf.from_bit_rows``, the one test of
+The canonical *ordering* of monomials is defined once, by ``Anf.rows``
+(``bit_rows`` packed) and its inverse ``Anf.from_bit_rows``, the one test of
 it: each mask a row of bits with variable 0 leftmost, rows ascending --
 the masks as big-endian integers, variable 0 most significant.  Printing
 (``mask_strings``, ``monomials``, ``to_str``) and the
 one-line-per-monomial file format both use it.
 
-An ANF holds one of three forms, and exactly one is ever the source:
+An ANF holds the form it is made in, one of three, and never drops it:
 
   * the term set (``_terms``), unordered, which the algebra (``^``,
     ``multiply``, ``substitute``, ``rename``) makes;
@@ -29,10 +29,12 @@ An ANF holds one of three forms, and exactly one is ever the source:
     Every equation ``aes`` builds is such a sum.
 
 Both arrays put x_0 first, so a table's set bits become rows with a
-shift.  ``terms`` builds the set on first access and drops the array.
-Until then ``term_count`` and ``degree`` read either array,
+shift.  ``rows`` is the one producer of canonical block rows: held ones
+as they are, else those of the table or the sorted term set, built once
+and kept beside the form they came from, as ``terms`` keeps the masks of
+``rows``.  ``term_count`` and ``degree`` read a table or rows,
 ``evaluate_mask`` and ``boolfn.truth_table_from_anf`` read a table, and
-``bit_rows`` and the ``Kernel`` compile read rows.
+printing, the ``Kernel`` compile and equality of two row sets read rows.
 
 Whole masks are the unit of work wherever a layout allows it: renaming
 groups the used variables by the distance each one moves and shifts the
@@ -161,9 +163,10 @@ class Anf:
     """An XOR-set of monomial masks over a variable space of fixed width.
 
     ``_terms`` takes the canonical masks as they are: a frozenset, or an
-    array that the ANF owns until ``terms`` is first read -- a dense ANF's
-    1-D ``uint8`` coefficient table, or the ``(terms, ceil(width / 8))``
-    ``uint8`` block rows of ``bit_rows`` packed (x_{8c+i} at bit 7-i of byte c).
+    array the ANF owns -- a dense ANF's 1-D ``uint8`` coefficient table, or
+    the ``(terms, ceil(width / 8))`` ``uint8`` block rows of ``bit_rows``
+    packed (x_{8c+i} at bit 7-i of byte c).  An ANF is immutable: that form
+    stays held, and ``rows`` and ``terms`` are derived once beside it.
     """
 
     __slots__ = ("width", "_terms", "_table", "_rows")
@@ -173,7 +176,7 @@ class Anf:
         if width < 0:
             raise ValueError("width must be non-negative")
         self.width = width
-        self._table = self._rows = None
+        self._terms = self._table = self._rows = None
         if isinstance(_terms, np.ndarray):
             if _terms.ndim == 1:
                 self._table = _terms
@@ -190,17 +193,24 @@ class Anf:
             self._terms = folded
 
     @property
+    def rows(self) -> np.ndarray:
+        """The canonical block rows: those held, else built once from the
+        table or the term set."""
+        if self._rows is None:
+            nbytes = -(-self.width // 8)
+            if self._table is not None:   # ascending indices at the top of big-endian words
+                words = (_set_bits(self._table).astype(np.uint32) << (32 - self.width)).astype(">u4")
+                self._rows = words.view(np.uint8).reshape(-1, 4)[:, :nbytes]
+            else:   # the masks as big-endian byte strings, sorted; one byte at least
+                rows = _mask_rows(self._terms, self.width // 8 + 1)
+                self._rows = rows[np.argsort(rows.view(f"V{rows.shape[1]}").ravel()), :nbytes]
+        return self._rows
+
+    @property
     def terms(self) -> frozenset[int]:
-        """The monomial masks, built from the held array on first access."""
-        # each form is in place before the one it replaces goes, so a reader finds
-        # one; ascending indices at the top of big-endian words are canonical rows
-        if self._table is not None:
-            words = (_set_bits(self._table).astype(np.uint32) << (32 - self.width)).astype(">u4")
-            self._rows = words.view(np.uint8).reshape(-1, 4)[:, :-(-self.width // 8)]
-            self._table = None
-        if self._rows is not None:
-            self._terms = frozenset(_masks_from_bytes(_reverse_bytes(self._rows)))
-            self._rows = None
+        """The monomial masks, read from ``rows`` on first access."""
+        if self._terms is None:
+            self._terms = frozenset(_masks_from_bytes(_reverse_bytes(self.rows)))
         return self._terms
 
     # -- constructors ---------------------------------------------------
@@ -256,7 +266,7 @@ class Anf:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.term_count() == 0
 
     def term_count(self) -> int:
         if self._table is not None:
@@ -265,11 +275,10 @@ class Anf:
 
     def degree(self) -> int:
         """Largest monomial size; -1 for the zero function."""
-        if self._table is not None:   # a monomial's size is its index's popcount
+        # a monomial's size is its index's popcount, or its block row's
+        if self._table is not None:
             return int(np.bitwise_count(_set_bits(self._table)).astype(int).max(initial=-1))
-        if self._rows is not None:    # or its block row's
-            return int(np.bitwise_count(self._rows).sum(axis=1, dtype=np.intp).max(initial=-1))
-        return max((m.bit_count() for m in self.terms), default=-1)
+        return int(np.bitwise_count(self.rows).sum(axis=1, dtype=np.intp).max(initial=-1))
 
     def variables(self) -> frozenset[int]:
         """All variable indices appearing in any monomial."""
@@ -282,16 +291,9 @@ class Anf:
         return used
 
     def bit_rows(self) -> np.ndarray:
-        """Monomial masks as a ``(terms, width)`` 0/1 ``uint8`` matrix in
+        """``rows`` unpacked: a ``(terms, width)`` 0/1 ``uint8`` matrix in
         canonical order, column j carrying variable j."""
-        if self._rows is not None:
-            return np.unpackbits(self._rows, axis=1, count=self.width)
-        nbytes = self.width // 8 + 1   # at least one byte, for the zero-width space
-        rows = _mask_rows(self.terms, nbytes)
-        # the rows as big-endian byte strings, variable 0 most significant,
-        # compared byte by byte
-        keys = rows.view(f"V{nbytes}").ravel()
-        return np.unpackbits(rows[np.argsort(keys)], axis=1, count=self.width)
+        return np.unpackbits(self.rows, axis=1, count=self.width)
 
     @classmethod
     def from_bit_rows(cls, rows: np.ndarray) -> "Anf":
@@ -321,7 +323,7 @@ class Anf:
         """Monomial masks as '0'/'1' strings, variable 0 leftmost, in
         canonical order: ascending, so the constant monomial comes first."""
         text = (self.bit_rows() | ord("0")).tobytes().decode("ascii")
-        return [text[i * self.width:(i + 1) * self.width] for i in range(len(self.terms))]
+        return [text[i * self.width:(i + 1) * self.width] for i in range(len(self.rows))]
 
     def monomials(self) -> list[tuple[int, ...]]:
         """Monomials as sorted index tuples, in canonical order."""
@@ -484,7 +486,11 @@ class Anf:
     def __eq__(self, other):
         if not isinstance(other, Anf):
             return NotImplemented
-        return self.width == other.width and self.terms == other.terms
+        if self.width != other.width:
+            return False
+        if self._rows is not None and other._rows is not None:   # both canonical
+            return bool(np.array_equal(self._rows, other._rows))
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash((self.width, self.terms))
@@ -494,7 +500,7 @@ class Anf:
 
     def to_str(self) -> str:
         """Human-readable sum of monomials in canonical order."""
-        if not self.terms:
+        if self.is_zero:
             return "0"
         return " + ".join("".join(f"x{v}" for v in mono) or "1" for mono in self.monomials())
 
@@ -550,21 +556,6 @@ def _masks_from_bytes(raw: np.ndarray) -> list[int]:
     return masks
 
 
-def _block_rows(equations: Sequence[Anf], nbytes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every monomial of at most 256 ``equations`` as a block row, and the
-    index of each row's equation as ``uint8``.  Held rows are taken as they
-    are; the masks of the other equations go through one ``_mask_rows``
-    together."""
-    held = [(j, eq._rows) for j, eq in enumerate(equations) if eq._rows is not None]
-    sets = [(j, eq.terms) for j, eq in enumerate(equations) if eq._rows is None]
-    parts = [rows for _, rows in held]
-    if sets:
-        parts.append(_mask_rows([m for _, terms in sets for m in terms], nbytes))
-    owners = np.array([j for j, _ in held + sets], dtype=np.uint8)
-    rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return rows, np.repeat(owners, [len(part) for _, part in held + sets])
-
-
 def anfs_from_rows(rows: np.ndarray) -> list[Anf]:
     """The ANF of every output bit of ``(2^k, B)`` ``uint8`` value rows, over
     the k variables, with the samples in truth-table order: sample i sets
@@ -598,7 +589,9 @@ def _word_coefficients(equations: Sequence[Anf], nbytes: int):
     value in that byte's table.  An equation's monomials are distinct, so
     the bits that meet at one coefficient are distinct and their sum is
     their OR."""
-    rows, owners = _block_rows(equations, nbytes)
+    rows = np.concatenate([eq.rows for eq in equations])
+    owners = np.repeat(np.arange(len(equations), dtype=np.uint8),
+                       [len(eq.rows) for eq in equations])
     bits = np.left_shift(1, owners ^ 7, dtype=np.uint32)
     at = np.flatnonzero(rows != 0)   # every nonzero byte of every monomial
     row = at // max(nbytes, 1)
@@ -615,9 +608,8 @@ class Kernel:
     over a batch of ``uint8`` rows in the block convention: x_{8c+i} is bit
     7-i of byte c, and so is output 8c+i.
 
-    The compile takes each equation's monomials as block rows, those a
-    parsed or built equation holds or those of its term set, and sets the
-    output bits of 32 equations at a time straight into a ``(bytes, 256,
+    The compile takes each equation's monomials as its canonical block
+    rows (``Anf.rows``), and sets the output bits of 32 equations at a time straight into a ``(bytes, 256,
     words)`` ``uint32`` array of coefficients (``_word_coefficients``), which
     ``_subset_xor`` turns in place into one table per (output word, byte).
     An equation is then one lookup per input byte, its constant and the

@@ -143,9 +143,9 @@ def cmd_stats(args) -> int:
     counted: dict[int, tuple[list[int], dict[int, int]]] = {}
     for index, (stage, first) in enumerate(zip(system.stages, system.shared)):
         if first == index:
-            # a monomial's degree is its bit row's sum
+            # a monomial's degree is its block row's popcount
             degrees = np.bincount(np.concatenate(
-                [eq.bit_rows().sum(axis=1, dtype=np.intp) for eq in stage.equations]))
+                [np.bitwise_count(eq.rows).sum(axis=1, dtype=np.intp) for eq in stage.equations]))
             counted[index] = ([eq.term_count() for eq in stage.equations],
                               {d: int(count) for d, count in enumerate(degrees) if count})
         term_counts, sizes = counted[first]

@@ -529,7 +529,7 @@ def test_key_word_anfs_reproduce_the_schedule_of_random_keys():
 
 
 def test_reading_a_coordinate_term_set_leaves_the_builders_their_tables():
-    # reading the term set of an Anf drops its table; each call returns new
+    # reading the term set of an Anf keeps its table; each call returns new
     # Anfs over one read-only array of the 16 tables
     tables = aes._coordinate_tables()
     assert tables.shape == (16, 32) and tables.dtype == np.uint8

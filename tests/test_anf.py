@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -888,6 +889,56 @@ def test_property_bit_rows_round_trip_in_big_endian_mask_order(anf):
             == sorted(_big_endian(m, anf.width) for m in anf.terms))
 
 
+# the three forms an ANF is made in, each from a fresh term set
+_FORMS = {
+    "set": lambda width, terms: Anf(width, _terms=frozenset(terms)),
+    "rows": lambda width, terms: Anf.from_bit_rows(Anf(width, terms).bit_rows()),
+    "table": lambda width, terms: anf_from_truth_table(
+        truth_table_from_anf(Anf(width, terms), width)),
+}
+
+
+def _held(anf):
+    """Every form an ANF holds, each with a copy of its content."""
+    forms = {name: getattr(anf, name, None) for name in ("_terms", "_table", "_rows")}
+    return {name: (form, form.tobytes() if isinstance(form, np.ndarray) else form)
+            for name, form in forms.items() if form is not None}
+
+
+@st.composite
+def term_set_pairs(draw):
+    """Two term sets over 1-12 variables, equal or one monomial apart.  The
+    contents come from one seeded ``random.Random`` per example."""
+    rng = draw(st.randoms(use_true_random=True))
+    width = draw(st.integers(1, 12))
+    terms = {rng.getrandbits(width) for _ in range(rng.randint(0, 1 << min(width, 6)))}
+    other = terms ^ {rng.getrandbits(width)} if draw(st.booleans()) else terms
+    return width, terms, other
+
+
+@given(term_set_pairs())
+def test_property_held_forms_compare_as_their_term_sets_and_are_never_dropped(case):
+    width, terms, other = case
+    readers = {"terms": lambda a: a.terms, "bit_rows": lambda a: a.bit_rows().tolist(),
+               "mask_strings": Anf.mask_strings, "to_str": Anf.to_str,
+               "is_zero": lambda a: a.is_zero, "degree": Anf.degree, "hash": hash}
+    for (kind, make), (other_kind, make_other) in itertools.product(_FORMS.items(), repeat=2):
+        a, b = make(width, terms), make_other(width, other)
+        before = [_held(a), _held(b)]
+        assert (a == b) == (b == a) == (terms == other), (kind, other_kind)
+        if kind == other_kind == "rows":   # canonical rows compare as they are
+            assert a._terms is None and b._terms is None
+        want = Anf(width, terms)
+        assert hash(a) == hash(want) and hash(b) == hash(Anf(width, other))
+        for name, read in readers.items():
+            assert read(a) == read(want), (kind, name)
+        for anf, held in zip((a, b), before):
+            for name, (form, content) in held.items():
+                now = getattr(anf, name, None)
+                assert now is form, (kind, other_kind, name)
+                assert (now.tobytes() if isinstance(now, np.ndarray) else now) == content
+
+
 @st.composite
 def ring_operands(draw):
     """A width of 0-40 and makers of three fresh ANFs over it: random
@@ -950,7 +1001,7 @@ def test_property_anfs_from_rows_is_anf_from_truth_table_per_column(rows):
     assert np.array_equal(rows, before)
     assert len(anfs) == 8 * rows.shape[1]
     for anf, table in zip(anfs, _column_tables(rows, range(len(anfs)))):
-        # the coefficients stay a packed table until the comparison builds the set
+        # the coefficients are held as a packed table, which the comparison keeps
         assert anf._table is not None and anf._table.dtype == np.uint8
         assert np.array_equal(anf._table, anf_from_truth_table(table)._table)
         assert anf == anf_from_truth_table(table)

@@ -373,14 +373,15 @@ def test_property_dense_anf_agrees_with_its_term_set_twin(case):
         dense = anf_from_truth_table(TruthTable(n, bits))
         assert truth_table_from_anf(dense, arity) == truth_table_from_anf(twin, arity) \
             == TruthTable(arity, table)
-    # each comparison builds the set of a fresh dense ANF, which is then
-    # its only source
+    # each comparison derives the set of a fresh dense ANF beside its
+    # table, which stays held as it was
     for same in (operator.eq, lambda a, b: hash(a) == hash(b), lambda a, b: (a ^ b).is_zero,
                  lambda a, b: a ^ Anf.one(n) == b ^ Anf.one(n),
                  lambda a, b: np.array_equal(a.bit_rows(), b.bit_rows())):
         dense = anf_from_truth_table(TruthTable(n, bits))
+        held = dense._table.copy()
         assert same(dense, twin)
-        assert dense._table is None and dense.terms == twin.terms
+        assert dense._table.tobytes() == held.tobytes() and dense.terms == twin.terms
     assert _table_readers(dense, n) == expected
 
 

@@ -342,6 +342,26 @@ def test_build_write_and_compile_keep_the_held_rows(tmp_path, direction):
 
 
 @pytest.mark.parametrize("direction", ["enc", "dec"])
+def test_comparing_read_and_built_systems_keeps_their_rows(written, direction):
+    # both sides hold canonical block rows, so comparing them builds no term set
+    built = (system_mod.build_encryption_system if direction == "enc"
+             else system_mod.build_decryption_system)()
+    back = read_system(written / f"AES_files_{direction}")
+    assert back == built
+    for system in (back, built):
+        assert all(eq._rows is not None and eq._terms is None
+                   for stage in system.stages for eq in stage.equations)
+
+
+def test_printing_a_built_round_equation_keeps_its_rows():
+    eq = next(stage for stage in system_mod.build_encryption_system().stages
+              if stage.kind == "Round").equations[0]
+    rows = eq._rows.tobytes()
+    assert len(eq.mask_strings()) == eq.term_count()
+    assert eq._rows is not None and eq._rows.tobytes() == rows
+
+
+@pytest.mark.parametrize("direction", ["enc", "dec"])
 def test_read_back_kernels_are_the_built_kernels(written, enc_system, dec_system, direction):
     built = enc_system if direction == "enc" else dec_system
     back = read_system(written / f"AES_files_{direction}")
