@@ -8,7 +8,10 @@ GF(2^8) product table per coefficient (each built from ``gf_mul``), and
 AddRoundKey and the key schedule XOR whole blocks and words as ints.  It
 uses no equation, so it stays independent of what it checks.
 ``reference_encrypt_states`` and ``reference_decrypt_states`` return the
-state after every stage, unlabelled; ``system`` names the stages.
+state after every stage, unlabelled; ``system`` names the stages.  No
+evaluation of an equation system calls the oracle: ``system`` makes its
+round keys from ``key_expansion_word_anf``, and ``reference_key_schedule``
+serves the tests, ``system.reference_trace`` and the benchmark's checks.
 
 Every symbolic equation is a direct sum of 8-variable functions of
 distinct input bytes, built by ``Anf.from_byte_tables`` from their packed
@@ -201,8 +204,7 @@ def reference_key_schedule(key: bytes) -> list[bytes]:
     key is w0^t, w1^w0^t, w2^w1^w0^t, w3^w2^w1^w0^t: the key XORed with
     itself shifted down by one, two and three words, and t in every word.
     """
-    if len(key) != BLOCK_BYTES:
-        raise ValueError("key must be 16 bytes")
+    check_key(key)
     keys = [bytes(key)]
     words = int.from_bytes(key, "big")
     for rcon in RCON:
@@ -218,6 +220,12 @@ def check_block(block: bytes) -> None:
     """Raise ValueError unless ``block`` is 16 bytes long."""
     if len(block) != BLOCK_BYTES:
         raise ValueError(f"block must be {BLOCK_BYTES} bytes, got {len(block)}")
+
+
+def check_key(key: bytes) -> None:
+    """Raise ValueError unless ``key`` is 16 bytes long."""
+    if len(key) != BLOCK_BYTES:
+        raise ValueError(f"key must be {BLOCK_BYTES} bytes, got {len(key)}")
 
 
 def reference_encrypt(block: bytes, key: bytes) -> bytes:

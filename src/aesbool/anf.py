@@ -575,7 +575,8 @@ def anfs_from_rows(rows: np.ndarray) -> list[Anf]:
             for j in range(8 * nbytes)]
 
 
-# rows gathered at a time: the gather's intp index, 8 bytes per (word,
+# the most rows one gather takes: a larger batch is split into calls on
+# blocks of this many rows, so the gather's intp index, 8 bytes per (word,
 # lookup, row), stays a few MB however large the batch
 _ROW_BLOCK = 4096
 
@@ -619,9 +620,14 @@ class Kernel:
     The whole kernel is one lookup plan: for each (output word, lookup) the
     input column and the offset of its table in one concatenated run.
     Every word has the same lookup count; a word with fewer reads column 0
-    through the all-zero table that ends the run.  A call is one gather,
-    lookup-major so that the XOR reduce runs along rows of samples, and one
-    constant XOR; a residual is multiplied out for all words at once.
+    through the all-zero table that ends the run.  A call on at most
+    ``_ROW_BLOCK`` rows is one gather of the plan's columns, one gather of
+    the tables at their offsets, shaped ``(words, lookups, rows)`` so that
+    the XOR reduce runs along rows of samples, and one constant XOR; a
+    residual is multiplied out for all words at once.  The byte widths and
+    the plan's shaped views are worked out at compile time, so a call on
+    one row costs a handful of numpy calls.  A larger batch is evaluated a
+    block of rows at a time, by calls on each block, and joined.
     """
 
     def __init__(self, equations: Sequence[Anf]):
@@ -632,6 +638,7 @@ class Kernel:
         self.width = width
         self.outputs = len(equations)
         nbytes, words = -(-width // 8), -(-self.outputs // 32)
+        self._in_bytes, self._out_bytes = nbytes, -(-self.outputs // 8)
         tables = np.zeros((nbytes, 256, words), dtype="<u4")
         self._constant = np.zeros((words, 1), dtype="<u4")
         residual, holders = [np.zeros((0, nbytes), dtype=np.uint8)], [np.zeros(0, dtype=np.intp)]
@@ -652,6 +659,10 @@ class Kernel:
         self._columns[read] = np.nonzero(used)[1]
         self._offsets = np.full((len(read), 1), len(self._table) - 256, dtype=np.intp)
         self._offsets[read, 0] = np.arange(0, len(self._table) - 256, 256)
+        # the same plan as (word, lookup) views, so a gather comes out
+        # shaped for the reduce over each word's lookups
+        self._gather = (self._columns.reshape(words, self._lookups),
+                        self._offsets.reshape(words, self._lookups, 1))
         # the distinct residual monomials as block rows, and the outputs that hold each
         self._residual, inverse = np.unique(np.concatenate(residual), axis=0, return_inverse=True)
         self._selector = np.zeros((len(self._residual), 32 * words), dtype=np.uint8)
@@ -662,24 +673,23 @@ class Kernel:
 
         Returns ``(N, ceil(outputs / 8))`` ``uint8`` output rows.
         """
-        if rows.ndim != 2 or rows.shape[1] != -(-self.width // 8):
-            raise ValueError(f"expected rows of {-(-self.width // 8)} bytes, got shape {rows.shape}")
+        if rows.ndim != 2 or rows.shape[1] != self._in_bytes:
+            raise ValueError(f"expected rows of {self._in_bytes} bytes, got shape {rows.shape}")
         if rows.dtype != np.uint8:
             raise ValueError(f"expected uint8 rows, got {rows.dtype}")
-        words = len(self._constant)
-        out = np.zeros((words, len(rows)), dtype="<u4")
-        for start in range(0, len(rows), _ROW_BLOCK):
-            block = rows[start:start + _ROW_BLOCK]
-            part = out[:, start:start + _ROW_BLOCK]
-            if self._lookups:
-                gathered = self._table[block.T[self._columns] + self._offsets]
-                np.bitwise_xor.reduce(gathered.reshape(words, self._lookups, -1), axis=1, out=part)
-            if len(self._residual):   # uint8 sums wrap modulo 256, which keeps their parity
-                masks = self._residual
-                products = (block[:, None, :] & masks == masks).all(axis=2).view(np.uint8)
-                part ^= np.packbits(products @ self._selector & 1, axis=1).view("<u4").T
+        if len(rows) > _ROW_BLOCK:
+            return np.concatenate([self(rows[start:start + _ROW_BLOCK])
+                                   for start in range(0, len(rows), _ROW_BLOCK)])
+        columns, offsets = self._gather
+        index = rows.T.take(columns, axis=0).astype(np.intp)   # cast once, then add in place
+        index += offsets
+        out = np.bitwise_xor.reduce(self._table.take(index), axis=1)
+        if len(self._residual):   # uint8 sums wrap modulo 256, which keeps their parity
+            masks = self._residual
+            products = (rows[:, None, :] & masks == masks).all(axis=2).view(np.uint8)
+            out ^= np.packbits(products @ self._selector & 1, axis=1).view("<u4").T
         out ^= self._constant
-        return np.ascontiguousarray(out.T).view(np.uint8)[:, :-(-self.outputs // 8)]
+        return np.ascontiguousarray(out.T).view(np.uint8)[:, :self._out_bytes]
 
 
 def batch_evaluate(equations: Sequence[Anf], inputs: Sequence[int]) -> list[int]:

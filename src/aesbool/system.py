@@ -20,13 +20,18 @@ Because each stage works on fresh variables, every monomial lies within
 one input byte, and each stage compiles into one ``Kernel`` of per-byte
 truth tables.  Evaluation carries the state between stages as ``(N, 16)``
 ``uint8`` block rows, one per (block, key) pair; AddRoundKey stages append
-the pair's round key from one ``(N, 11, 16)`` array.
+the pair's round key, ``(N, 16)`` rows too.  The round keys come from the
+key schedule's equations, not from the byte-level oracle: the 128
+equations of one key round (``aes.key_expansion_word_anf``) compile once
+per process into one kernel, run ten times, with each round's constant
+row XORed onto its output.  The oracle only names and checks
+(``reference_trace``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -133,23 +138,23 @@ class Stage:
                 raise ValueError(
                     f"equation width {eq.width} does not match stage space {self.space.width}")
 
-    @property
+    @cached_property
     def space(self) -> VarSpace:
         return STAGE_KINDS[self.kind].space
 
-    @property
+    @cached_property
     def gen_label(self) -> str:
         return STAGE_KINDS[self.kind].gen_label.format(self.round_index)
 
-    @property
+    @cached_property
     def trace_label(self) -> str:
         return STAGE_KINDS[self.kind].trace_labels[self.round_index]
 
-    @property
+    @cached_property
     def state_width(self) -> int:
         return STAGE_KINDS[self.kind].state_width
 
-    @property
+    @cached_property
     def key_width(self) -> int:
         return STAGE_KINDS[self.kind].key_width
 
@@ -245,25 +250,46 @@ def build_decryption_system() -> EquationSystem:
     })
 
 
-def _input_rows(blocks: Sequence[bytes], keys: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """Check every block and expand every key: the ``(N, 16)`` block rows
-    and the ``(N, 11, 16)`` round keys of the (block, key) pairs."""
+# what each of the ten key rounds XORs onto the key-round kernel's output:
+# byte 0 of every word takes that round's constant in place of round 1's
+_ROUND_CONSTANT_ROWS = np.zeros((len(aes.RCON), aes.BLOCK_BYTES), dtype=np.uint8)
+_ROUND_CONSTANT_ROWS[:, ::4] = np.bitwise_xor(aes.RCON, aes.RCON[0])[:, None]
+
+
+@cache
+def _key_round_kernel() -> Kernel:
+    """The 128 equations of the first key round, words 4..7 over the bits
+    of the cipher key, compiled on the first evaluation."""
+    return Kernel([eq for word in range(4, 8) for eq in aes.key_expansion_word_anf(word)])
+
+
+def _input_rows(blocks: Sequence[bytes], keys: Sequence[bytes]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Check every block and key: the ``(N, 16)`` block rows of the (block,
+    key) pairs and their 11 round keys, one ``(N, 16)`` array each.
+
+    Each round key is the key-round kernel run on the one before it, with
+    that round's constant row XORed in; no byte-level key schedule runs."""
     for block in blocks:
         aes.check_block(block)
+    for key in keys:
+        aes.check_key(key)
     state = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, aes.BLOCK_BYTES)
-    round_keys = np.frombuffer(
-        b"".join(b"".join(aes.reference_key_schedule(k)) for k in keys),
-        dtype=np.uint8).reshape(len(keys), len(ROUND_INDICES), aes.BLOCK_BYTES)
+    round_keys = [np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(-1, aes.BLOCK_BYTES)]
+    kernel = _key_round_kernel()
+    for constant in _ROUND_CONSTANT_ROWS:
+        round_key = kernel(round_keys[-1])
+        round_key ^= constant
+        round_keys.append(round_key)
     return state, round_keys
 
 
 def _stage_outputs(system: EquationSystem, state: np.ndarray,
-                   round_keys: np.ndarray) -> Iterator[np.ndarray]:
+                   round_keys: list[np.ndarray]) -> Iterator[np.ndarray]:
     """Run the input rows of ``_input_rows`` through the stages at once;
     yields each stage's output as ``(N, 16)`` ``uint8`` block rows, in order."""
     for stage, kernel in zip(system.stages, system.kernels):
         if stage.key_width:
-            state = np.concatenate((state, round_keys[:, stage.round_index]), axis=1)
+            state = np.concatenate((state, round_keys[stage.round_index]), axis=1)
         state = kernel(state)
         yield state
 

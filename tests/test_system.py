@@ -2,7 +2,9 @@ import hashlib
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from aesbool import aes
 from aesbool import system as system_mod
@@ -293,6 +295,122 @@ def test_evaluation_rejects_wrong_block_length(enc_system, length):
         system_mod.evaluate_system(enc_system, block, KEY)
     with pytest.raises(ValueError, match="16 bytes"):
         system_mod.evaluate_system_batch(enc_system, [PLAIN, block], [KEY, KEY])
+
+
+@pytest.mark.parametrize("length", [15, 17])
+def test_evaluation_rejects_wrong_key_length(enc_system, length):
+    # the length is checked where the round keys are made, not by the oracle,
+    # and also when no stage would read a round key
+    key = bytes(range(length))
+    for system in (enc_system, system_mod.EquationSystem("enc", ())):
+        with pytest.raises(ValueError, match="key must be 16 bytes"):
+            system_mod.evaluate_system(system, PLAIN, key)
+        with pytest.raises(ValueError, match="key must be 16 bytes"):
+            system_mod.evaluate_system_batch(system, [PLAIN], [key])
+        with pytest.raises(ValueError, match="key must be 16 bytes"):
+            system_mod.evaluate_system_batch(system, [PLAIN, PLAIN, PLAIN], [KEY, key, KEY])
+
+
+# FIPS 197 Appendix B: the cipher example, whose key is Appendix A's
+APPENDIX_B_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+APPENDIX_B_PLAIN = bytes.fromhex("3243f6a8885a308d313198a2e0370734")
+APPENDIX_B_CIPHER = bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
+
+
+def test_evaluation_never_calls_the_oracle(monkeypatch, enc_system, dec_system):
+    def oracle(*args):
+        raise AssertionError("the byte-level oracle was called")
+
+    for name in ("reference_key_schedule", "reference_encrypt_states", "reference_decrypt_states"):
+        monkeypatch.setattr(aes, name, oracle)
+    # the key-round kernel is compiled again with the oracle unreachable
+    system_mod._key_round_kernel.cache_clear()
+    pairs = [(PLAIN, KEY, CIPHER), (APPENDIX_B_PLAIN, APPENDIX_B_KEY, APPENDIX_B_CIPHER)]
+    for plain, key, cipher in pairs:
+        assert system_mod.evaluate_system(enc_system, plain, key)[0] == cipher
+        assert system_mod.evaluate_system(dec_system, cipher, key)[0] == plain
+    keys = [key for _, key, _ in pairs]
+    assert (system_mod.evaluate_system_batch(enc_system, [p for p, _, _ in pairs], keys)
+            == [c for _, _, c in pairs])
+    assert (system_mod.evaluate_system_batch(dec_system, [c for _, _, c in pairs], keys)
+            == [p for p, _, _ in pairs])
+    assert system_mod.evaluate_system(enc_system, PLAIN, KEY)[1] == ENC_TRACE
+
+
+# ---------------------------------------------------------------------------
+# round keys from the key-round kernel
+
+def _round_keys(keys):
+    """The 11 round keys of each key as evaluation makes them."""
+    _, round_keys = system_mod._input_rows([], keys)
+    return [[rk[i].tobytes() for rk in round_keys] for i in range(len(keys))]
+
+
+def test_round_keys_match_the_key_schedule():
+    rng = random.Random(27)
+    keys = [KEY, APPENDIX_B_KEY, *(rng.randbytes(16) for _ in range(1200))]
+    assert _round_keys(keys) == [aes.reference_key_schedule(key) for key in keys]
+    # FIPS 197 Appendix A.1: the last word of the expanded key
+    assert _round_keys([APPENDIX_B_KEY])[0][10].hex() == "d014f9a8c9ee2589e13f0cc8b6630ca6"
+
+
+def _cipher_keys(round_keys, rounds):
+    """The cipher keys whose schedule has ``round_keys`` (``(N, 16)``
+    ``uint8`` rows) as round key ``rounds``: the schedule's round step
+    undone ``rounds`` times, with the published S-box and constants."""
+    sbox = np.array(aes.SBOX, dtype=np.uint8)
+    keys = round_keys.copy()
+    for rcon in reversed(aes.RCON[:rounds]):
+        for word in (3, 2, 1):   # word w of the earlier key is w ^ w-1 of the later one
+            keys[:, 4 * word:4 * word + 4] ^= keys[:, 4 * word - 4:4 * word]
+        keys[:, 0:4] ^= sbox[np.roll(keys[:, 12:16], -1, axis=1)]
+        keys[:, 0] ^= rcon
+    return keys
+
+
+def test_each_key_round_equals_the_schedule_on_every_key_of_one_nonzero_byte():
+    # Premise: the key-round kernel has no residual, so each of its outputs
+    # is a constant plus one function of each input byte (a direct sum).  The
+    # schedule's round step is one too: an output byte is an XOR of input
+    # bytes, the S-box of one input byte, and a constant.  Two direct sums
+    # equal on the 1 + 255 * 16 keys with at most one nonzero byte are equal
+    # on every key, so this checks each of the ten round steps completely.
+    kernel = system_mod._key_round_kernel()
+    assert len(kernel._residual) == 0
+    keys = np.zeros((1 + 255 * 16, 16), dtype=np.uint8)
+    keys[1 + np.arange(255 * 16), np.arange(255 * 16) // 255] = np.tile(np.arange(1, 256), 16)
+    assert len({key.tobytes() for key in keys}) == 4081
+    for r, constant in enumerate(system_mod._ROUND_CONSTANT_ROWS, start=1):
+        cipher_keys = [key.tobytes() for key in _cipher_keys(keys, r - 1)]
+        schedules = [aes.reference_key_schedule(key) for key in cipher_keys]
+        assert [s[r - 1] for s in schedules] == [key.tobytes() for key in keys]
+        step = kernel(keys) ^ constant
+        assert [row.tobytes() for row in step] == [s[r] for s in schedules], f"round {r}"
+
+
+@st.composite
+def key_batches(draw):
+    """1-256 keys from one seeded ``random.Random`` per example: uniform
+    keys mixed with keys of few nonzero bytes and runs of one byte value."""
+    rng = draw(st.randoms(use_true_random=True))
+
+    def key():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.randbytes(16)
+        if kind == 1:
+            key = bytearray(16)
+            for byte in rng.sample(range(16), rng.randint(1, 3)):
+                key[byte] = rng.randrange(256)
+            return bytes(key)
+        return bytes([rng.choice((0, 0xff, rng.randrange(256)))] * 16)
+
+    return [key() for _ in range(draw(st.sampled_from([1, 2, 17, 256])))]
+
+
+@given(key_batches())
+def test_property_round_keys_match_the_key_schedule(keys):
+    assert _round_keys(keys) == [aes.reference_key_schedule(key) for key in keys]
 
 
 def test_reference_trace_validates_direction():
