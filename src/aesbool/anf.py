@@ -36,11 +36,11 @@ and kept beside the form they came from, as ``terms`` keeps the masks of
 ``evaluate_mask`` and ``boolfn.truth_table_from_anf`` read a table, and
 printing, the ``Kernel`` compile and equality of two row sets read rows.
 
-Whole masks are the unit of work wherever a layout allows it: renaming
-groups the used variables by the distance each one moves and shifts the
-masks' bits of a group at once (an offset is one group, so it shifts each
-mask whole), and ``from_bit_rows`` builds each mask from its row's
-``uint64`` words.
+Rows out of canonical order become a term set through whole masks:
+``from_bit_rows`` builds each mask from its row's ``uint64`` words and
+XOR-folds them in one pass.  Renaming, which no build or evaluation
+takes, goes one variable at a time: each monomial is rebuilt from the
+images of its variables.
 
 Evaluation at one point x uses the identity the Moebius transform rests
 on, f(x) = XOR of a_u over u within x: ``evaluate_mask`` looks up the
@@ -66,6 +66,7 @@ variables into their ANFs.
 from __future__ import annotations
 
 import operator
+from functools import reduce
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
@@ -282,13 +283,7 @@ class Anf:
 
     def variables(self) -> frozenset[int]:
         """All variable indices appearing in any monomial."""
-        return frozenset(_vars_from_mask(self._used_mask()))
-
-    def _used_mask(self) -> int:
-        used = 0
-        for m in self.terms:
-            used |= m
-        return used
+        return frozenset(_vars_from_mask(reduce(operator.or_, self.terms, 0)))
 
     def bit_rows(self) -> np.ndarray:
         """``rows`` unpacked: a ``(terms, width)`` 0/1 ``uint8`` matrix in
@@ -302,7 +297,8 @@ class Anf:
         The rows are packed into block rows, held as they are when in
         canonical order: strictly ascending, compared as big-endian words at
         the first word where two neighbours differ.  Any others are read by
-        ``_masks_from_bytes``, in range by construction, and XOR-folded.
+        ``_masks_from_bytes``, in range by construction, and XOR-folded into
+        a term set in one pass, which cancels repeated rows.
         """
         count, width = rows.shape
         packed = np.packbits(rows, axis=1)
@@ -311,13 +307,7 @@ class Anf:
         pairs, first = np.arange(count - 1), (words[:-1] != words[1:]).argmax(axis=1)
         if (words[pairs, first] < words[pairs + 1, first]).all():
             return cls(width, _terms=packed)
-        masks = _masks_from_bytes(_reverse_bytes(packed))
-        # a frozenset copied from a set is sized to it; one grown from a
-        # list keeps the slack of its growth, up to twice the size
-        terms = set(masks)
-        if len(terms) < count:   # a repeated row: fold the rows pairwise
-            terms = _xor_fold(masks)
-        return cls(width, _terms=frozenset(terms))
+        return cls(width, _terms=_xor_fold(_masks_from_bytes(_reverse_bytes(packed))))
 
     def mask_strings(self) -> list[str]:
         """Monomial masks as '0'/'1' strings, variable 0 leftmost, in
@@ -394,36 +384,23 @@ class Anf:
 
         ``mapping`` is an int offset k (variable v goes to v + k), a sequence
         indexed by old variable, or a mapping {old: new}.  ``width`` sets the
-        target space (defaults to the current width).  The used variables
-        are grouped by their distance, image minus index: each mask becomes
-        the OR over the groups of its bits in the group, shifted by that
-        group's distance.  An offset is one group and shifts whole masks.
+        target space (defaults to the current width); an offset is read as
+        the sequence (k, k + 1, ...).  Only the used variables' images are
+        looked up, and each monomial is rebuilt as the sum of 2^image over
+        its variables.  The images must be distinct and within the target.
         """
         new_width = self.width if width is None else width
-        used = _vars_from_mask(self._used_mask())
         if isinstance(mapping, int):
-            table = {v: v + mapping for v in used}
-        else:
-            table = {v: mapping[v] for v in used}
+            mapping = range(mapping, mapping + self.width)
+        table = {v: mapping[v] for v in self.variables()}
         if len(set(table.values())) != len(table):
             raise ValueError("rename mapping is not injective")
-        terms = self.terms
-        if table:
-            low, high = min(table.values()), max(table.values())
-            if low < 0 or high >= new_width:
-                raise ValueError(f"renamed index {low if low < 0 else high}"
-                                 f" outside space of width {new_width}")
-            groups: dict[int, int] = {}
-            for v, img in table.items():
-                groups[img - v] = groups.get(img - v, 0) | 1 << v
-            masks = None
-            for distance, group in groups.items():
-                part = terms if len(groups) == 1 else map(operator.and_, terms, repeat(group))
-                part = (map(operator.lshift, part, repeat(distance)) if distance >= 0
-                        else map(operator.rshift, part, repeat(-distance)))
-                masks = part if masks is None else map(operator.or_, masks, part)
-            terms = masks
-        return Anf(new_width, _terms=frozenset(terms))
+        low, high = min(table.values(), default=0), max(table.values(), default=-1)
+        if low < 0 or high >= new_width:
+            raise ValueError(f"renamed index {low if low < 0 else high}"
+                             f" outside space of width {new_width}")
+        return Anf(new_width, _terms=frozenset(
+            sum(1 << table[v] for v in _vars_from_mask(m)) for m in self.terms))
 
     # -- evaluation --------------------------------------------------------
 
@@ -431,7 +408,7 @@ class Anf:
         """Evaluate at a bit sequence covering every used variable."""
         # one at least as long as the space covers every variable: no term scan
         if len(assignment) < self.width:
-            last = self._used_mask().bit_length() - 1
+            last = max(self.variables(), default=-1)
             if last >= len(assignment):
                 raise ValueError(
                     f"assignment of length {len(assignment)} does not cover variable {last}")
@@ -610,9 +587,10 @@ class Kernel:
     7-i of byte c, and so is output 8c+i.
 
     The compile takes each equation's monomials as its canonical block
-    rows (``Anf.rows``), and sets the output bits of 32 equations at a time straight into a ``(bytes, 256,
-    words)`` ``uint32`` array of coefficients (``_word_coefficients``), which
-    ``_subset_xor`` turns in place into one table per (output word, byte).
+    rows (``Anf.rows``), and sets the output bits of 32 equations at a
+    time straight into a ``(bytes, 256, words)`` ``uint32`` array of
+    coefficients (``_word_coefficients``), which ``_subset_xor`` turns in
+    place into one table per (output word, byte).
     An equation is then one lookup per input byte, its constant and the
     residual, its monomials over two or more bytes (no built system has
     one, so ``np.unique`` finds their distinct rows among few), XORed.

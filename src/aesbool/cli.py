@@ -155,8 +155,7 @@ def cmd_stats(args) -> int:
               f" monomials={sum(term_counts)}"
               f" min_terms={min(term_counts)} max_terms={max(term_counts)}"
               f" max_degree={max_degree}")
-    hist_str = " ".join(f"{d}={histogram[d]}" for d in sorted(histogram))
-    print(f"degree_histogram {hist_str}")
+    print(" ".join(["degree_histogram", *(f"{d}={histogram[d]}" for d in sorted(histogram))]))
     acct = system.variable_accounting()
     print(f"variables state={acct['state_variables']} key={acct['key_variables']}"
           f" total={acct['total']}"

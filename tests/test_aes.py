@@ -93,6 +93,9 @@ def test_bit_packing_round_trip():
         one_hot = bytes(0x80 >> i % 8 if byte == i // 8 else 0 for byte in range(16))
         assert aes.block_to_mask(one_hot) == 1 << i
         assert aes.mask_to_block(1 << i) == one_hot
+    assert aes.block_from_hex(FIPS_PLAIN.hex()) == FIPS_PLAIN
+    with pytest.raises(ValueError, match=r"^expected 32 hex characters, got 2$"):
+        aes.block_from_hex("00")
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +366,10 @@ def test_subbytes_byte_independence():
     eqs = aes.subbytes_equations(SPACE)
     assert eqs[127].variables() <= frozenset(range(120, 128))
     assert eqs[0].variables() <= frozenset(range(0, 8))
+    # the bytes are whole: a state of 128 variables from a byte boundary
+    for space in (VarSpace([("state", 64)]), VarSpace([("pad", 4), ("state", 128)])):
+        with pytest.raises(ValueError, match=r"^the state must be 128 variables from a byte boundary$"):
+            aes.subbytes_equations(space)
 
 
 def test_shiftrows_equations():

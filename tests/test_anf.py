@@ -31,6 +31,10 @@ def test_varspace_layout():
     assert space.start("key") == 128
     assert space.segment("key") == range(128, 256)
     assert space.names == ("state", "key")
+    same, other = VarSpace([("state", 128), ("key", 128)]), VarSpace([("key", 128), ("state", 128)])
+    assert space == same and hash(space) == hash(same) and space != other
+    assert repr(space) == "VarSpace(state:128, key:128)"
+    assert space.__eq__(256) is NotImplemented and space != 256
 
 
 def test_varspace_rejects_duplicates_and_empty():
@@ -53,6 +57,12 @@ def test_variable_out_of_range():
         Anf.from_terms(3, [(3,)])
     with pytest.raises(ValueError):
         Anf.variable(3, 3)
+    with pytest.raises(ValueError, match=r"^width must be non-negative$"):
+        Anf(-1)
+    with pytest.raises(ValueError, match=r"^monomial mask 0x10 outside space of width 4$"):
+        Anf(4, [1 << 4])
+    with pytest.raises(ValueError, match=r"^monomial mask -0x1 outside space of width 4$"):
+        Anf(4, [-1])
 
 
 def test_monomials_canonical_order():
@@ -247,6 +257,11 @@ def test_substitute_term_limit():
     other = Anf.from_terms(10, [(i, (i + 3) % 10) for i in range(10)])
     with pytest.raises(TermLimitError):
         f.substitute({0: big, 1: other}, max_terms=8)
+    # linear monomials take no product: the sum of their bindings grows past the limit
+    linear = Anf.from_terms(3, [(0,), (1,), (2,)])
+    with pytest.raises(TermLimitError, match=r"^substitution exceeds 4 terms$"):
+        linear.substitute({v: Anf.from_terms(9, [(3 * v,), (3 * v + 1,), (3 * v + 2,)])
+                           for v in range(3)}, max_terms=4)
 
 
 def test_substitute_changes_width():
@@ -545,6 +560,7 @@ def test_equality_is_term_set_equality():
     assert a == b and hash(a) == hash(b)
     assert a != Anf.from_terms(4, [(0,)])
     assert Anf.from_terms(4, [(0,)]) != Anf.from_terms(5, [(0,)])
+    assert a.__eq__(a.terms) is NotImplemented and a != a.terms
 
 
 def test_batch_evaluate_matches_single(enc_system, dec_system):
@@ -582,6 +598,8 @@ def test_kernel_rejects_wrong_column_count():
     kernel = Kernel([Anf.one(4)])
     with pytest.raises(ValueError):
         kernel(np.zeros((1, 2), dtype=np.uint8))
+    with pytest.raises(ValueError, match=r"^equations span different variable spaces$"):
+        Kernel([Anf.one(4), Anf.one(5)])
 
 
 @pytest.mark.parametrize("rows", [np.array([[0x180, 0]], dtype=np.int64),
@@ -837,6 +855,75 @@ def test_property_byte_tables_are_the_sum_of_their_renamed_term_sets(case):
     assert np.array_equal(Kernel([got, back])(rows), Kernel([want, want])(rows))
     assert got._rows is not None
     assert got == want
+
+
+@st.composite
+def renamings(draw):
+    """An ANF over 0-256 variables, a target width, and a mapping of its
+    used variables in one of the three forms, with junk images for some
+    unused ones.  The images lie flush with the target's bottom edge, its
+    top edge or both; or, with the message it must raise, one fault: two
+    used variables share an image, the lowest image is -1, or the highest
+    is the target width.  Valid cases come with the inverse mapping.  The
+    contents come from one seeded ``random.Random`` per example."""
+    rng = draw(st.randoms(use_true_random=True))
+    width = draw(st.integers(0, 256))
+    form = draw(st.sampled_from(["offset", "sequence", "mapping"]))
+    edge = draw(st.sampled_from(["bottom", "top", "both"]))
+    # monomials over a window of the space, so an offset can move them
+    low = rng.randrange(width) if width else 0
+    high = rng.randint(low, min(width, low + 40))
+    f = Anf.from_terms(width, [rng.sample(range(low, high), rng.randint(0, high - low))
+                               for _ in range(rng.randint(0, 10))])
+    used = sorted(f.variables())
+    n = len(used)
+    # each used variable's image less the lowest image: an offset keeps the
+    # distances, the other forms take distinct places from 0 to the last
+    if form == "offset":
+        places = [v - used[0] for v in used]
+    else:
+        last = n - 1 + rng.randint(0, 2 * n) if n > 1 else 0
+        places = [0, last][:n] + rng.sample(range(1, last), max(n - 2, 0))
+        rng.shuffle(places)
+    extent = max(places, default=-1) + 1
+    start = rng.randint(1, 8) if edge == "top" else 0
+    target = start + extent + (rng.randint(1, 8) if edge == "bottom" else 0)
+    fault = draw(st.sampled_from([None, None, *(["below", "above"] if n else []),
+                                  *(["shared"] if n > 1 and form != "offset" else [])]))
+    error = None
+    if fault == "below":
+        start, error = -1, f"renamed index -1 outside space of width {target}"
+    elif fault == "above":
+        target = start + extent - 1
+        error = f"renamed index {target} outside space of width {target}"
+    images = [start + place for place in places]
+    if fault == "shared":
+        images[rng.randrange(1, n)] = images[0]
+        error = "rename mapping is not injective"
+    table = dict(zip(used, images))
+    junk = {v: rng.choice([-1, target, *images[:1]])
+            for v in rng.sample(range(width), min(width, 5)) if v not in table}
+    if form == "offset":
+        offset = start - (used[0] if n else 0)
+        return f, offset, target, -offset, error
+    inverse = {image: v for v, image in table.items()}
+    if form == "mapping":
+        return f, {**table, **junk}, target, inverse, error
+    sequence = [table.get(v, junk.get(v, -1)) for v in range(width)]
+    return f, sequence, target, [inverse.get(i, -1) for i in range(target)], error
+
+
+@given(renamings())
+def test_property_rename_is_the_per_variable_rename_and_its_inverse_undoes_it(case):
+    f, mapping, target, inverse, error = case
+    if error is not None:
+        with pytest.raises(ValueError, match=rf"^{error}$"):
+            f.rename(mapping, width=target)
+        return
+    g = f.rename(mapping, width=target)
+    assert g.width == target
+    assert g == _per_variable_rename(f, mapping, target)
+    assert g.rename(inverse, width=f.width) == f
 
 
 def test_byte_tables_must_lie_on_distinct_bytes_of_the_space():

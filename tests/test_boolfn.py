@@ -35,6 +35,8 @@ def test_from_string_round_trip():
     tt = TruthTable.from_string(MAJPARMI3)
     assert tt.arity == 3
     assert tt.to_string() == MAJPARMI3
+    assert hash(tt) == hash(TruthTable(3, tt.bits.copy()))
+    assert tt.__eq__(MAJPARMI3) is NotImplemented and tt != MAJPARMI3
 
 
 @pytest.mark.parametrize("bad", ["", "1", "012", "0101010", "2222"])
@@ -73,6 +75,9 @@ def test_outputs_equal_to_0_or_1_pass_in_any_dtype(bits):
 def test_arity_cap():
     with pytest.raises(ValueError):
         TruthTable(MAX_ARITY + 1, np.zeros(1 << (MAX_ARITY + 1), dtype=np.uint8))
+    for arity in (0, MAX_ARITY + 1):
+        with pytest.raises(ValueError, match=rf"^arity must be in 1\.\.{MAX_ARITY}, got {arity}$"):
+            truth_table_from_anf(Anf.one(4), arity)
 
 
 @pytest.mark.parametrize("n", [1, 4, 12])

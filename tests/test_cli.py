@@ -4,7 +4,7 @@ from aesbool import aes
 from aesbool import system as system_mod
 from aesbool.anf import Anf
 from aesbool.serial import write_system
-from conftest import FIPS_CIPHER, FIPS_KEY, FIPS_PLAIN, run_cli
+from conftest import ENC_TRACE, FIPS_CIPHER, FIPS_KEY, FIPS_PLAIN, run_cli
 
 ENC_GENERATE_LINES = (
     ["## Ciphering process", "## Create directory AES_files_enc"]
@@ -108,6 +108,24 @@ def test_verify_detects_corrupted_file(generated, tmp_path):
     ])
     assert rc == 1
     assert "Round2" in err
+
+
+@pytest.mark.parametrize("stages", [3, 0])
+def test_verify_of_a_tree_that_ends_early_reports_its_output(enc_system, tmp_path, stages):
+    # every stage the tree holds agrees with the reference, so only the
+    # output, the last stage's state or else the input block, differs
+    write_system(system_mod.EquationSystem("enc", enc_system.stages[:stages]), tmp_path)
+    rc, out, err = run_cli([
+        "verify", "--mode", "enc", "--block", FIPS_PLAIN, "--key", FIPS_KEY,
+        "--files", str(tmp_path),
+    ])
+    assert rc == 1
+    assert out.splitlines() == [f"## Clear block {FIPS_PLAIN}", f"## Key block {FIPS_KEY}",
+                                *(line for label, value in ENC_TRACE[:stages]
+                                  for line in (f"## {label}", value)),
+                                f"{FIPS_CIPHER} (FIPS result)"]
+    gave = ENC_TRACE[stages - 1][1] if stages else FIPS_PLAIN
+    assert err == f"mismatch: files gave {gave}, reference gives {FIPS_CIPHER}\n"
 
 
 @pytest.mark.parametrize("name", ["06_invMixColumns8/bit_000.eq", "manifest.txt"])
@@ -250,6 +268,15 @@ def test_stats_degree_histogram(stats_lines):
     assert max(int(d) for d in entries) == 7
     # 11 AddRoundKey stages contribute 2 * 128 degree-1 monomials each
     assert int(entries["1"]) >= 11 * 256
+
+
+def test_stats_of_a_tree_with_no_stages(tmp_path):
+    write_system(system_mod.EquationSystem("enc", ()), tmp_path)
+    rc, out, err = run_cli(["stats", "--files", str(tmp_path)])
+    assert (rc, err) == (0, "")
+    assert out == ("## Stats for AES_files_enc (direction=enc)\n"
+                   "degree_histogram\n"
+                   "variables state=0 key=0 total=0 state_segments=1 key_segments=0\n")
 
 
 @pytest.mark.parametrize("name", ["manifest.txt", "00_Round0/bit_005.eq"])
